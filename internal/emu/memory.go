@@ -24,6 +24,14 @@ type Page struct {
 	Data [obj.PageSize]byte
 	Perm obj.Perm
 
+	// dirty is set by every mutation of Data through a Memory — guest
+	// stores (storeU64/storeU32, and access for writes: the interpreter,
+	// the vector unit, Write, and through it the kernel's read(2) copy-in
+	// and vector-state spills) and Poke — and cleared only by ClearDirty. It sits beside Perm so the
+	// store that sets it hits the cache line the permission check just
+	// loaded. The loader (MapSection) writes without setting it.
+	dirty bool
+
 	// gen counts Pokes into this frame. Because frames are shared by
 	// reference, decoded-code caches (icache, blocks, traces) validate
 	// against it in addition to the per-address-space generation: a Poke
@@ -34,6 +42,14 @@ type Page struct {
 
 // Gen returns the frame's code-patch generation.
 func (p *Page) Gen() uint64 { return p.gen }
+
+// Dirty reports whether the frame's bytes were mutated since the last
+// ClearDirty. kernel.Process.Reset restores only dirty frames.
+func (p *Page) Dirty() bool { return p.dirty }
+
+// ClearDirty marks the frame clean. The caller asserts its bytes are back
+// at the state it restores to.
+func (p *Page) ClearDirty() { p.dirty = false }
 
 // Memory is a sparse paged address space. A one-entry translation cache
 // keeps the hot-loop lookup off the page map.
@@ -84,47 +100,12 @@ func (m *Memory) Poke(addr uint64, data []byte) bool {
 		off := addr & (obj.PageSize - 1)
 		n := copy(p.Data[off:], data)
 		p.gen++
+		p.dirty = true
 		data = data[n:]
 		addr += uint64(n)
 	}
 	m.gen++
 	return true
-}
-
-// RestoreBytes writes bytes bypassing permissions without bumping any
-// generation. It is a loader-grade primitive for resetting *data* frames to
-// a known image between runs (kernel.Process.Reset): because no generation
-// moves, cached code translations stay warm, so it must never be used to
-// change bytes that may be executed — that is what Poke is for.
-func (m *Memory) RestoreBytes(addr uint64, data []byte) bool {
-	if len(data) == 0 {
-		return true
-	}
-	for pn := pageOf(addr); pn <= pageOf(addr+uint64(len(data))-1); pn++ {
-		if _, ok := m.pages[pn]; !ok {
-			return false
-		}
-	}
-	m.write(addr, data)
-	return true
-}
-
-// ZeroRange zeroes [addr, addr+size) bypassing permissions without bumping
-// any generation, with the same data-frames-only contract as RestoreBytes.
-// Unmapped pages inside the range are skipped.
-func (m *Memory) ZeroRange(addr, size uint64) {
-	for size > 0 {
-		off := addr & (obj.PageSize - 1)
-		n := uint64(obj.PageSize) - off
-		if n > size {
-			n = size
-		}
-		if p, ok := m.pages[pageOf(addr)]; ok {
-			clear(p.Data[off : off+n])
-		}
-		addr += n
-		size -= n
-	}
 }
 
 // NewMemory returns an empty address space.
@@ -224,6 +205,7 @@ func (m *Memory) access(addr uint64, buf []byte, write bool, need obj.Perm) (uin
 		var n int
 		if write {
 			n = copy(p.Data[off:], buf)
+			p.dirty = true
 		} else {
 			n = copy(buf, p.Data[off:])
 		}
@@ -274,6 +256,7 @@ func (m *Memory) storeU64(addr uint64, v uint64) bool {
 	if !ok || p.Perm&obj.PermW == 0 {
 		return false
 	}
+	p.dirty = true
 	binary.LittleEndian.PutUint64(p.Data[off:], v)
 	return true
 }
@@ -287,6 +270,7 @@ func (m *Memory) storeU32(addr uint64, v uint32) bool {
 	if !ok || p.Perm&obj.PermW == 0 {
 		return false
 	}
+	p.dirty = true
 	binary.LittleEndian.PutUint32(p.Data[off:], v)
 	return true
 }

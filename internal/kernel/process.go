@@ -68,9 +68,16 @@ type Process struct {
 	Name string
 	// CPU holds the architectural state; its Mem/ISA switch on migration.
 	CPU   *emu.CPU
-	views map[riscv.Ext]*View
+	views []*View // in variant order
 	cur   *View
 	first *View // the initial view, where Reset restarts execution
+
+	// restore is Reset's work list, built from views. restoreGen is the
+	// sum of every view's Memory.MapGen when it was built: the counters
+	// only grow, so the sum moves exactly when some view was remapped.
+	restore    []restoreTarget
+	restoreGen uint64
+	restored   []*emu.Page // scratch: the frames the last Reset restored
 
 	FAM FAMPolicy
 
@@ -140,13 +147,14 @@ func NewProcess(name string, variants []Variant) (*Process, error) {
 	}
 	p := &Process{
 		Name:     name,
-		views:    make(map[riscv.Ext]*View),
 		handlers: make(map[int]uint64),
 	}
 	var first *View
 	for _, v := range variants {
-		if _, dup := p.views[v.ISA]; dup {
-			return nil, fmt.Errorf("kernel: duplicate variant for %v", v.ISA)
+		for _, w := range p.views {
+			if w.isa == v.ISA {
+				return nil, fmt.Errorf("kernel: duplicate variant for %v", v.ISA)
+			}
 		}
 		mem := emu.NewMemory()
 		mem.MapImage(v.Image)
@@ -215,7 +223,7 @@ func NewProcess(name string, variants []Variant) (*Process, error) {
 			}
 			mem.ShareFrom(first.mem, obj.StackTop-obj.StackSize, obj.StackSize)
 		}
-		p.views[v.ISA] = view
+		p.views = append(p.views, view)
 	}
 	p.cur = first
 	p.first = first
@@ -226,6 +234,17 @@ func NewProcess(name string, variants []Variant) (*Process, error) {
 	return p, nil
 }
 
+// restoreTarget is one frame-sized piece of Reset's work: the bytes
+// page.Data[off:off+len(src)] return to.
+type restoreTarget struct {
+	page *emu.Page
+	off  uint64
+	src  []byte
+}
+
+// zeroFrame is the restore source of every stack frame.
+var zeroFrame [obj.PageSize]byte
+
 // Reset rewinds the process to its load state without rebuilding it: every
 // view's writable sections are restored from its image, the stack is
 // zeroed, and the architectural state returns to the first view's entry —
@@ -235,17 +254,35 @@ func NewProcess(name string, variants []Variant) (*Process, error) {
 // of a long-lived server re-running the same guest: re-execution costs
 // neither page mapping nor re-translation, which is what makes repeated
 // runs allocation-free.
+//
+// Memory costs what the guest touched. Reset walks a list of restore
+// targets (a frame plus the section or stack bytes it returns to) and
+// copies only into frames whose dirty bit is set (emu.Page.Dirty). It
+// clears the bits of the frames it restored in a second pass, so a frame
+// holding several targets is clean only after all of them are restored.
+// The byte ranges restored are exactly the writable sections and the
+// stack; the rest of a frame is left as the guest wrote it. When any view
+// was remapped since the list was built, the list is rebuilt and every
+// target restored: a frame mapped in since then carries no dirty history
+// to trust.
 func (p *Process) Reset() {
-	for _, v := range p.views {
-		for _, s := range v.img.Sections {
-			if s.Perm&obj.PermW == 0 || len(s.Data) == 0 {
-				continue
-			}
-			v.mem.RestoreBytes(s.Addr, s.Data)
+	full := false
+	if gen := p.mapGen(); gen != p.restoreGen {
+		p.buildRestoreList()
+		p.restoreGen = gen
+		full = true
+	}
+	restored := p.restored[:0]
+	for _, t := range p.restore {
+		if full || t.page.Dirty() {
+			copy(t.page.Data[t.off:], t.src)
+			restored = append(restored, t.page)
 		}
 	}
-	// The stack frames are shared across views; zero them once.
-	p.first.mem.ZeroRange(obj.StackTop-obj.StackSize, obj.StackSize)
+	for _, pg := range restored {
+		pg.ClearDirty()
+	}
+	p.restored = restored
 	p.cur = p.first
 	p.CPU.Mem = p.first.mem
 	p.CPU.ISA = p.first.isa
@@ -261,18 +298,62 @@ func (p *Process) Reset() {
 	p.sigFrame = sigContext{}
 }
 
+func (p *Process) mapGen() uint64 {
+	var g uint64
+	for _, v := range p.views {
+		g += v.mem.MapGen()
+	}
+	return g
+}
+
+// buildRestoreList lists every view's writable sections, then the stack
+// frames, which all views share with the first.
+func (p *Process) buildRestoreList() {
+	p.restore = p.restore[:0]
+	for _, v := range p.views {
+		for _, s := range v.img.Sections {
+			if s.Perm&obj.PermW != 0 {
+				p.restore = appendRestore(p.restore, v.mem, s.Addr, s.Data)
+			}
+		}
+	}
+	for a := obj.StackTop - obj.StackSize; a < obj.StackTop; a += obj.PageSize {
+		if pg, ok := p.first.mem.Page(a); ok {
+			p.restore = append(p.restore, restoreTarget{page: pg, src: zeroFrame[:]})
+		}
+	}
+	p.restored = make([]*emu.Page, 0, len(p.restore))
+}
+
+// appendRestore splits the restore of src to addr into per-frame targets.
+// A range that reaches an unmapped page is skipped whole, as the loader
+// would refuse it.
+func appendRestore(ts []restoreTarget, m *emu.Memory, addr uint64, src []byte) []restoreTarget {
+	n := len(ts)
+	for len(src) > 0 {
+		pg, ok := m.Page(addr)
+		if !ok {
+			return ts[:n]
+		}
+		off := addr & (obj.PageSize - 1)
+		k := min(uint64(len(src)), obj.PageSize-off)
+		ts = append(ts, restoreTarget{page: pg, off: off, src: src[:k]})
+		src = src[k:]
+		addr += k
+	}
+	return ts
+}
+
 // ViewFor returns the view whose binary runs on the given core ISA: an
 // exact match, else the richest view the core supports.
 func (p *Process) ViewFor(isa riscv.Ext) (*View, bool) {
-	if v, ok := p.views[isa]; ok {
-		return v, true
-	}
 	var best *View
 	for _, v := range p.views {
-		if isa.Has(v.img.ISA) {
-			if best == nil || v.img.ISA > best.img.ISA {
-				best = v
-			}
+		if v.isa == isa {
+			return v, true
+		}
+		if isa.Has(v.img.ISA) && (best == nil || v.img.ISA > best.img.ISA) {
+			best = v
 		}
 	}
 	return best, best != nil

@@ -120,7 +120,6 @@ func (s *Server) handleRewriteBatch(w http.ResponseWriter, r *http.Request) {
 		live = append(live, i)
 	}
 	ctx, tr := s.startTrace(w, r.Context(), "rewrite_batch")
-	defer tr.Finish()
 	liveReqs := make([]*RewriteRequest, len(live))
 	for j, i := range live {
 		liveReqs[j] = reqs[i]
@@ -128,5 +127,6 @@ func (s *Server) handleRewriteBatch(w http.ResponseWriter, r *http.Request) {
 	for j, res := range s.RewriteBatch(ctx, liveReqs) {
 		out[live[j]] = res
 	}
+	tr.Finish()
 	writeJSON(w, http.StatusOK, batchHTTPResponse{Items: out})
 }

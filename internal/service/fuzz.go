@@ -93,10 +93,17 @@ type fuzzManager struct {
 	nextID int
 
 	runs sync.WaitGroup
+
+	// run drives one campaign; tests swap it to inject engine faults.
+	run func(context.Context, *fuzzsvc.Campaign) error
 }
 
 func newFuzzManager(max int) *fuzzManager {
-	return &fuzzManager{max: max, byID: make(map[string]*fuzzCampaign)}
+	return &fuzzManager{
+		max:  max,
+		byID: make(map[string]*fuzzCampaign),
+		run:  func(ctx context.Context, c *fuzzsvc.Campaign) error { return c.Run(ctx) },
+	}
 }
 
 // admit reserves a campaign slot and id, or reports the cap is hit.
@@ -226,22 +233,32 @@ func (s *Server) handleFuzz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	_, tr := s.startTrace(w, r.Context(), "fuzz")
-	defer tr.Finish()
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	fc := &fuzzCampaign{id: id, c: camp, cancel: cancel, done: make(chan struct{}), created: time.Now()}
 	s.fuzz.track(fc)
 	s.tel.fuzzCampaigns.Inc()
 	s.fuzz.runs.Add(1)
-	go func() {
-		defer s.fuzz.runs.Done()
-		defer cancel()
-		defer close(fc.done)
-		err := camp.Run(ctx)
-		fc.setErr(err)
-		s.tel.recordFuzz(camp.Snapshot())
+	go s.runCampaign(ctx, cancel, fc)
+	tr.Finish()
+	writeJSON(w, http.StatusAccepted, fuzzCreateResponse{ID: id})
+}
+
+// runCampaign is the campaign goroutine. It is a panic boundary: an engine
+// or minimizer panic fails this campaign only (its error names the panic),
+// and the admission slot and telemetry are settled either way, so the
+// server keeps serving and the slot is reusable.
+func (s *Server) runCampaign(ctx context.Context, cancel context.CancelFunc, fc *fuzzCampaign) {
+	defer s.fuzz.runs.Done()
+	defer cancel()
+	defer close(fc.done)
+	defer func() {
+		if r := recover(); r != nil {
+			fc.setErr(fmt.Errorf("fuzz campaign panicked: %v", r))
+		}
+		s.tel.recordFuzz(fc.c.Snapshot())
 		s.fuzz.release()
 	}()
-	writeJSON(w, http.StatusAccepted, fuzzCreateResponse{ID: id})
+	fc.setErr(s.fuzz.run(ctx, fc.c))
 }
 
 // handleFuzzGet serves GET /fuzz/{id} and GET /fuzz/{id}/corpus.

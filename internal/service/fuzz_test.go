@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/eurosys26p57/chimera/internal/chaos"
+	"github.com/eurosys26p57/chimera/internal/fuzzsvc"
 	"github.com/eurosys26p57/chimera/internal/riscv"
 	"github.com/eurosys26p57/chimera/internal/workload"
 )
@@ -290,5 +291,66 @@ func TestFuzzShutdownCancelsCampaigns(t *testing.T) {
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown did not drain: %v", err)
+	}
+}
+
+// TestFuzzCampaignPanicIsolated: a panic inside a campaign fails that
+// campaign only. The server keeps answering, GET /fuzz/{id} reports the
+// panic as the campaign's error, and the admission slot is released so the
+// next campaign is accepted and runs.
+func TestFuzzCampaignPanicIsolated(t *testing.T) {
+	srv := New(Config{Workers: 1, MaxCampaigns: 1})
+	defer srv.Shutdown(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	realRun := srv.fuzz.run
+	srv.fuzz.run = func(context.Context, *fuzzsvc.Campaign) error { panic("injected engine fault") }
+	id, resp := postFuzz(t, ts, fuzzHTTPRequest{Image: fuzzImageWire(t), MaxExecs: 100, Seed: 3})
+	if id == "" {
+		t.Fatalf("create failed: %d", resp.StatusCode)
+	}
+	fc, ok := srv.fuzz.get(id)
+	if !ok {
+		t.Fatalf("campaign %s not tracked", id)
+	}
+	select {
+	case <-fc.done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("panicking campaign goroutine never ended")
+	}
+	sresp, err := http.Get(ts.URL + "/fuzz/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st fuzzStatusResponse
+	if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	sresp.Body.Close()
+	if !strings.Contains(st.Error, "injected engine fault") {
+		t.Fatalf("campaign error %q, want the panic value", st.Error)
+	}
+	if n := srv.fuzz.activeCount(); n != 0 {
+		t.Fatalf("%d campaign slots still held after the panic", n)
+	}
+	hresp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hresp.Body.Close()
+	if hresp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz status %d after a campaign panic", hresp.StatusCode)
+	}
+
+	srv.fuzz.run = realRun
+	id, resp = postFuzz(t, ts, fuzzHTTPRequest{
+		Image: fuzzImageWire(t), MaxExecs: 200, ExecBudget: 200_000, Seed: 3,
+	})
+	if id == "" {
+		t.Fatalf("slot not reusable after a panic: create returned %d", resp.StatusCode)
+	}
+	if st := waitDone(t, ts, id); st.Error != "" || st.Execs < 200 {
+		t.Fatalf("follow-up campaign: error %q, %d execs", st.Error, st.Execs)
 	}
 }

@@ -142,7 +142,6 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx, tr := s.startTrace(w, r.Context(), "rewrite")
-	defer tr.Finish()
 	res, err := s.Rewrite(ctx, &RewriteRequest{
 		Method:           body.Method,
 		Target:           body.Target,
@@ -153,6 +152,7 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 		Resolve:          body.Resolve,
 		Image:            img,
 	})
+	tr.Finish()
 	if err != nil {
 		writeError(w, err)
 		return
@@ -183,8 +183,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	ctx, tr := s.startTrace(w, r.Context(), "run")
-	defer tr.Finish()
 	res, err := s.Run(ctx, req)
+	tr.Finish()
 	if err != nil {
 		writeError(w, err)
 		return
@@ -215,7 +215,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // startTrace begins a request trace (when tracing is enabled), threads it
 // through the context so the pipeline can record spans, and announces its
 // id in the X-Chimera-Trace response header so clients can fetch the full
-// timeline from /trace/{id} after the response.
+// timeline from /trace/{id} after the response. Handlers must Finish the
+// trace before writing the response body, on every path: Finish is what
+// publishes it, and a client may ask for it as soon as the body arrives.
 func (s *Server) startTrace(w http.ResponseWriter, ctx context.Context, name string) (context.Context, *telemetry.Trace) {
 	tr := s.tracer.Start(name)
 	if tr != nil {

@@ -33,10 +33,11 @@ echo "== robustness matrix smoke (adversarial corpus x every rewriter config, ba
 go run ./cmd/chimera-eval -baseline internal/evalmatrix/testdata/matrix_baseline.json >/dev/null
 echo "== bench smoke (1 iteration)"
 go test -run=- -bench=. -benchtime=1x ./... >/dev/null
-echo "== alloc gate (warm CPURun* hot loops must not allocate)"
+echo "== alloc gate (warm CPURun* hot loops and the warm fuzz exec cycle must not allocate)"
 ALLOC_RAW="$(mktemp)"
 go test -run=- -bench='BenchmarkCPURun' -benchtime=1x -benchmem ./internal/emu/ | tee "$ALLOC_RAW"
-awk '/^BenchmarkCPURun/ {
+go test -run=- -bench='BenchmarkFuzzExec' -benchtime=1x -benchmem ./internal/fuzzsvc/ | tee -a "$ALLOC_RAW"
+awk '/^Benchmark(CPURun|FuzzExec)/ {
     for (i = 2; i < NF; i++)
         if ($(i+1) == "allocs/op" && $i + 0 > 0) {
             printf "alloc gate: %s reports %s allocs/op, want 0\n", $1, $i > "/dev/stderr"
