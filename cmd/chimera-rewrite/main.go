@@ -8,20 +8,20 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
-	"github.com/eurosys26p57/chimera/internal/chbp"
 	"github.com/eurosys26p57/chimera/internal/obj"
-	"github.com/eurosys26p57/chimera/internal/resolve"
 	"github.com/eurosys26p57/chimera/internal/rewriters"
 	"github.com/eurosys26p57/chimera/internal/riscv"
 )
 
 func main() {
 	target := flag.String("target", "rv64gc", "target ISA: rv64g, rv64gc, rv64gcv, rv64gcb")
-	method := flag.String("method", "chbp", "rewriter: chbp, strawman, safer, armore")
+	method := flag.String("method", "chbp", "rewriter: "+strings.Join(rewriters.Methods(), ", "))
 	empty := flag.Bool("empty", false, "empty patching (replicate sources; §6.2 methodology)")
 	noShift := flag.Bool("no-exit-shift", false, "disable exit-position shifting (ablation)")
 	noBatch := flag.Bool("no-batching", false, "disable basic-block batching (ablation)")
@@ -37,10 +37,8 @@ func main() {
 	if err != nil {
 		usage(fmt.Sprintf("bad -target: %v", err))
 	}
-	switch *method {
-	case "chbp", "strawman", "safer", "armore":
-	default:
-		usage(fmt.Sprintf("bad -method %q (want chbp, strawman, safer, armore)", *method))
+	if _, ok := rewriters.Lookup(*method); !ok {
+		usage(fmt.Sprintf("bad -method %q (want one of %v)", *method, rewriters.Methods()))
 	}
 	f, err := os.Open(flag.Arg(0))
 	if err != nil {
@@ -52,70 +50,28 @@ func main() {
 		fatal(err)
 	}
 
-	var ts *resolve.TargetSet
-	if *doResolve {
-		ts = resolve.Resolve(img)
-		fmt.Printf("resolver: %s\n", ts.Summary())
+	res, err := rewriters.Rewrite(img, *method, rewriters.Options{
+		Target:           isa,
+		EmptyPatch:       *empty,
+		Resolve:          *doResolve,
+		DisableExitShift: *noShift,
+		DisableBatching:  *noBatch,
+	})
+	if err != nil {
+		fatal(err)
 	}
-	var result *obj.Image
-	switch *method {
-	case "chbp", "strawman":
-		opts := chbp.Options{
-			TargetISA:        isa,
-			EmptyPatch:       *empty,
-			DisableExitShift: *noShift,
-			DisableBatching:  *noBatch,
-			Resolve:          *doResolve,
-		}
-		if *method == "strawman" {
-			opts.Trampoline = chbp.TrapEntry
-		}
-		res, err := chbp.Rewrite(img, opts)
-		if err != nil {
-			fatal(err)
-		}
-		result = res.Image
-		s := res.Stats
-		fmt.Printf("%s: %d instructions, %d sources (%.2f%%)\n",
-			img.Name, s.TotalInsts, s.SourceInsts, s.ExtPct)
-		fmt.Printf("sites: %d (%d SMILE, %d trap entries, %d trap exits), %d upgrade sites\n",
-			s.Sites, s.SmileEntries, s.TrapEntries, s.TrapExits, s.UpgradeSites)
-		fmt.Printf("dead register not found: %d (traditional liveness: %d)\n",
-			s.DeadRegFailShifted, s.DeadRegFailTraditional)
-		fmt.Printf("target section: %d bytes (%d block instructions, %d padding)\n",
-			s.TargetBytes, s.BlockInsts, s.PaddingBytes)
-		if *doResolve {
-			fmt.Printf("resolved: %d sites, %d targets; %d recovered instructions, %d pre-materialized sites (%d runtime rewrites avoided)\n",
-				s.ResolvedSites, s.ResolvedTargets, s.RecoveredInsts,
-				s.PrematerializedSites, s.AvoidedRewrites)
-		}
-	case "safer":
-		res, err := saferOrWith(img, isa, *empty, ts)
-		if err != nil {
-			fatal(err)
-		}
-		result = res.Image
-		fmt.Printf("%s: regenerated %d instructions into %d bytes\n",
-			img.Name, res.Stats.Insts, res.Stats.NewCodeBytes)
-		if *doResolve {
-			fmt.Printf("resolved: %d recovered instructions, %d statically-encoded targets\n",
-				res.Stats.RecoveredInsts, len(res.Resolved))
-		}
-		fmt.Println("note: Safer's address map is runtime state; use the in-process API for execution")
-	case "armore":
-		res, err := armoreOrWith(img, isa, *empty, ts)
-		if err != nil {
-			fatal(err)
-		}
-		result = res.Image
-		fmt.Printf("%s: %d trampolines (%d trap-based, %.1f%%)\n",
-			img.Name, res.Stats.Trampolines, res.Stats.TrapTrampolines,
-			100*float64(res.Stats.TrapTrampolines)/float64(max(1, res.Stats.Trampolines)))
-		if *doResolve {
-			fmt.Printf("resolved: %d recovered instructions\n", res.Stats.RecoveredInsts)
-		}
-	default:
-		fatal(fmt.Errorf("unknown method %q", *method))
+	stats := res.Stats
+	if stats.Resolve != nil {
+		fmt.Printf("resolver: %s\n", stats.Resolve)
+		stats.Resolve = nil
+	}
+	js, err := json.Marshal(stats)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("%s: %s for %v: %s\n", img.Name, *method, isa, js)
+	if res.Variant().SaferChecks {
+		fmt.Println("note: the address map and runtime checks are not in the written image; use the in-process API for execution")
 	}
 
 	of, err := os.Create(*out)
@@ -123,33 +79,18 @@ func main() {
 		fatal(err)
 	}
 	defer of.Close()
-	if _, err := result.WriteTo(of); err != nil {
+	if _, err := res.Image.WriteTo(of); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("wrote %s\n", *out)
-}
-
-// saferOrWith/armoreOrWith pick the resolver-seeded entry point when the
-// -resolve flag computed a TargetSet.
-func saferOrWith(img *obj.Image, isa riscv.Ext, empty bool, ts *resolve.TargetSet) (*rewriters.Rewritten, error) {
-	if ts != nil {
-		return rewriters.SaferWith(img, isa, empty, ts)
-	}
-	return rewriters.Safer(img, isa, empty)
-}
-
-func armoreOrWith(img *obj.Image, isa riscv.Ext, empty bool, ts *resolve.TargetSet) (*rewriters.Rewritten, error) {
-	if ts != nil {
-		return rewriters.ARMoreWith(img, isa, empty, ts)
-	}
-	return rewriters.ARMore(img, isa, empty)
 }
 
 func usage(msg string) {
 	if msg != "" {
 		fmt.Fprintln(os.Stderr, "chimera-rewrite:", msg)
 	}
-	fmt.Fprintln(os.Stderr, "usage: chimera-rewrite -target ISA -method M -o out.chim in.chim")
+	fmt.Fprintf(os.Stderr, "usage: chimera-rewrite -target ISA -method {%s} -o out.chim in.chim\n",
+		strings.Join(rewriters.Methods(), "|"))
 	os.Exit(2)
 }
 

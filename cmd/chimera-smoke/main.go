@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"github.com/eurosys26p57/chimera/internal/cluster"
+	"github.com/eurosys26p57/chimera/internal/rewriters"
 	"github.com/eurosys26p57/chimera/internal/workload"
 )
 
@@ -209,7 +210,10 @@ func main() {
 			survivors = append(survivors, i)
 		}
 	}
-	for _, m := range []string{"strawman", "safer", "armore"} {
+	for _, m := range rewriters.Methods() {
+		if m == "chbp" {
+			continue // phase 1's key, already stored: not a fresh rewrite
+		}
 		req := rewriteRequest{Method: m, Target: "rv64gc", Image: wire}
 		a := post(survivors[0], urls[survivors[0]], req)
 		b := post(survivors[1], urls[survivors[1]], req)

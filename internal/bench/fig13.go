@@ -6,14 +6,10 @@ import (
 
 	"github.com/eurosys26p57/chimera/internal/chbp"
 	"github.com/eurosys26p57/chimera/internal/kernel"
-	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/rewriters"
 	"github.com/eurosys26p57/chimera/internal/riscv"
 	"github.com/eurosys26p57/chimera/internal/workload"
 )
-
-// Methods compared in §6.2, presentation order.
-var Methods = []string{"strawman", "safer", "armore", "chbp"}
 
 // Fig13Row is one benchmark's measurement: performance degradation of each
 // rewriting method relative to the original binary (Fig. 13) and the
@@ -29,34 +25,20 @@ type Fig13Row struct {
 	Triggers map[string]uint64
 }
 
-// runRewritten executes an empty-patched rewritten image on an extension
-// core through the kernel and returns (cycles, triggers, exit).
-func runRewritten(method string, img *obj.Image, tables *chbp.Tables,
-	addrMap map[uint64]uint64) (uint64, uint64, uint64, error) {
-
-	v := kernel.Variant{ISA: riscv.RV64GCV, Image: img, Tables: tables}
-	if method == "safer" {
-		v.AddrMap = addrMap
-		v.SaferChecks = true
-	}
-	p, err := kernel.NewProcess(img.Name, []kernel.Variant{v})
+// runRewritten executes an empty-patched rewrite on an extension core
+// through the kernel and returns its cycles, counters and exit code.
+func runRewritten(rw *rewriters.Rewritten) (uint64, kernel.Counters, uint64, error) {
+	v := rw.Variant()
+	v.ISA = riscv.RV64GCV
+	p, err := kernel.NewProcess(rw.Image.Name, []kernel.Variant{v})
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, kernel.Counters{}, 0, err
 	}
 	cycles, err := RunOnCore(p, riscv.RV64GCV)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, kernel.Counters{}, 0, err
 	}
-	var triggers uint64
-	switch method {
-	case "chbp":
-		triggers = p.Counters.FaultRecoveries + p.Counters.Traps
-	case "strawman", "armore":
-		triggers = p.Counters.Traps
-	case "safer":
-		triggers = p.Counters.Checks
-	}
-	return cycles, triggers, p.ExitCode, nil
+	return cycles, p.Counters, p.ExitCode, nil
 }
 
 // Fig13Case measures one benchmark under all methods using the §6.2
@@ -85,37 +67,13 @@ func Fig13Case(c workload.SpecCase, rounds int64) (*Fig13Row, error) {
 		Degradation:  make(map[string]float64),
 		Triggers:     make(map[string]uint64),
 	}
-	for _, method := range Methods {
-		var img *obj.Image
-		var tables *chbp.Tables
-		var addrMap map[uint64]uint64
-		switch method {
-		case "chbp":
-			res, err := rewriters.CHBP(ext, riscv.RV64GCV, true)
-			if err != nil {
-				return nil, fmt.Errorf("%s chbp: %w", params.Name, err)
-			}
-			img, tables = res.Image, res.Tables
-		case "strawman":
-			res, err := rewriters.Strawman(ext, riscv.RV64GCV, true)
-			if err != nil {
-				return nil, fmt.Errorf("%s strawman: %w", params.Name, err)
-			}
-			img, tables = res.Image, res.Tables
-		case "armore":
-			res, err := rewriters.ARMore(ext, riscv.RV64GCV, true)
-			if err != nil {
-				return nil, fmt.Errorf("%s armore: %w", params.Name, err)
-			}
-			img, tables, addrMap = res.Image, res.Tables, res.AddrMap
-		case "safer":
-			res, err := rewriters.Safer(ext, riscv.RV64GCV, true)
-			if err != nil {
-				return nil, fmt.Errorf("%s safer: %w", params.Name, err)
-			}
-			img, tables, addrMap = res.Image, res.Tables, res.AddrMap
+	for _, method := range rewriters.Methods() {
+		m, _ := rewriters.Lookup(method)
+		rw, err := rewriters.Rewrite(ext, method, rewriters.Options{Target: riscv.RV64GCV, EmptyPatch: true})
+		if err != nil {
+			return nil, fmt.Errorf("%s %s: %w", params.Name, method, err)
 		}
-		cycles, triggers, exit, err := runRewritten(method, img, tables, addrMap)
+		cycles, counters, exit, err := runRewritten(rw)
 		if err != nil {
 			return nil, fmt.Errorf("%s %s: %w", params.Name, method, err)
 		}
@@ -124,7 +82,7 @@ func Fig13Case(c workload.SpecCase, rounds int64) (*Fig13Row, error) {
 				params.Name, method, exit, wantExit)
 		}
 		row.Degradation[method] = float64(cycles)/float64(native) - 1
-		row.Triggers[method] = triggers
+		row.Triggers[method] = m.Triggers(counters)
 	}
 	return row, nil
 }
@@ -146,16 +104,16 @@ func Fig13(cases []workload.SpecCase, rounds int64) ([]*Fig13Row, error) {
 func PrintFig13(w io.Writer, rows []*Fig13Row) {
 	fmt.Fprintln(w, "Figure 13 — performance degradation vs original (empty patching)")
 	fmt.Fprintf(w, "%-14s", "benchmark")
-	for _, m := range Methods {
+	for _, m := range rewriters.Methods() {
 		fmt.Fprintf(w, "%12s", m)
 	}
 	fmt.Fprintln(w)
-	hr(w, 14+12*len(Methods))
+	hr(w, 14+12*len(rewriters.Methods()))
 	sums := make(map[string]float64)
 	worst := make(map[string]float64)
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-14s", r.Name)
-		for _, m := range Methods {
+		for _, m := range rewriters.Methods() {
 			d := r.Degradation[m]
 			sums[m] += d
 			if d > worst[m] {
@@ -165,14 +123,14 @@ func PrintFig13(w io.Writer, rows []*Fig13Row) {
 		}
 		fmt.Fprintln(w)
 	}
-	hr(w, 14+12*len(Methods))
+	hr(w, 14+12*len(rewriters.Methods()))
 	fmt.Fprintf(w, "%-14s", "average")
-	for _, m := range Methods {
+	for _, m := range rewriters.Methods() {
 		fmt.Fprintf(w, "%12s", pct(sums[m]/float64(len(rows))))
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "%-14s", "worst")
-	for _, m := range Methods {
+	for _, m := range rewriters.Methods() {
 		fmt.Fprintf(w, "%12s", pct(worst[m]))
 	}
 	fmt.Fprintln(w)
@@ -293,7 +251,8 @@ func Ablations(c workload.SpecCase, rounds int64) ([]*AblationRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}
-		cycles, _, _, err := runRewritten("chbp", res.Image, res.Tables, nil)
+		rw, _ := rewriters.FromCHBP(res, nil)
+		cycles, _, _, err := runRewritten(rw)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}

@@ -5,9 +5,7 @@ import (
 	"sort"
 	"testing"
 
-	"github.com/eurosys26p57/chimera/internal/chbp"
 	"github.com/eurosys26p57/chimera/internal/kernel"
-	"github.com/eurosys26p57/chimera/internal/resolve"
 	"github.com/eurosys26p57/chimera/internal/rewriters"
 	"github.com/eurosys26p57/chimera/internal/riscv"
 	"github.com/eurosys26p57/chimera/internal/workload"
@@ -62,47 +60,15 @@ func prepareResolveTasks(tb testing.TB, method string, resolveOn bool) []resolve
 		if err != nil {
 			tb.Fatal(err)
 		}
-		var down kernel.Variant
-		switch method {
-		case "chbp":
-			res, err := chbp.Rewrite(img, chbp.Options{TargetISA: riscv.RV64GC, Resolve: resolveOn})
-			if err != nil {
-				tb.Fatalf("%s chbp: %v", p.Name, err)
-			}
-			down = kernel.Variant{ISA: riscv.RV64GC, Image: res.Image, Tables: res.Tables}
-		case "safer":
-			var rw *rewriters.Rewritten
-			if resolveOn {
-				rw, err = rewriters.SaferWith(img, riscv.RV64GC, false, resolve.Resolve(img))
-			} else {
-				rw, err = rewriters.Safer(img, riscv.RV64GC, false)
-			}
-			if err != nil {
-				tb.Fatalf("%s safer: %v", p.Name, err)
-			}
-			down = kernel.Variant{
-				ISA: riscv.RV64GC, Image: rw.Image, Tables: rw.Tables,
-				AddrMap: rw.AddrMap, SaferChecks: true, SaferResolved: rw.Resolved,
-			}
-		case "armore":
-			var rw *rewriters.Rewritten
-			if resolveOn {
-				rw, err = rewriters.ARMoreWith(img, riscv.RV64GC, false, resolve.Resolve(img))
-			} else {
-				rw, err = rewriters.ARMore(img, riscv.RV64GC, false)
-			}
-			if err != nil {
-				tb.Fatalf("%s armore: %v", p.Name, err)
-			}
-			down = kernel.Variant{ISA: riscv.RV64GC, Image: rw.Image, Tables: rw.Tables}
-		default:
-			tb.Fatalf("unknown method %q", method)
+		rw, err := rewriters.Rewrite(img, method, rewriters.Options{Target: riscv.RV64GC, Resolve: resolveOn})
+		if err != nil {
+			tb.Fatalf("%s %s: %v", p.Name, method, err)
 		}
 		tasks = append(tasks, resolveTask{
 			name: p.Name,
 			variants: []kernel.Variant{
 				{ISA: riscv.RV64GCV, Image: img},
-				down,
+				rw.Variant(),
 			},
 		})
 	}

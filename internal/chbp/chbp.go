@@ -104,7 +104,15 @@ var ErrRewriteReject = errors.New("rewrite rejected")
 // images never panic out of here: any panic or image-dependent error is
 // folded into ErrRewriteReject, so callers see a typed reject instead of a
 // crash.
-func Rewrite(img *obj.Image, opts Options) (res *Result, err error) {
+func Rewrite(img *obj.Image, opts Options) (*Result, error) {
+	return RewriteWith(img, opts, nil)
+}
+
+// RewriteWith is Rewrite seeded with a resolver TargetSet, for callers
+// that already ran the resolver (for its summary, or to share one pass
+// across rewriters): ts came from resolve.Resolve on the same image and
+// implies opts.Resolve. With ts nil, opts.Resolve runs the resolver here.
+func RewriteWith(img *obj.Image, opts Options, ts *resolve.TargetSet) (res *Result, err error) {
 	if opts.TargetISA == 0 {
 		return nil, fmt.Errorf("chbp: no target ISA")
 	}
@@ -113,14 +121,17 @@ func Rewrite(img *obj.Image, opts Options) (res *Result, err error) {
 			res, err = nil, fmt.Errorf("%w: chbp: panic: %v", ErrRewriteReject, r)
 		}
 	}()
-	res, err = rewrite(img, opts)
+	if ts == nil && opts.Resolve {
+		ts = resolve.Resolve(img)
+	}
+	res, err = rewrite(img, opts, ts)
 	if err != nil && !errors.Is(err, ErrRewriteReject) {
 		res, err = nil, fmt.Errorf("%w: %v", ErrRewriteReject, err)
 	}
 	return res, err
 }
 
-func rewrite(img *obj.Image, opts Options) (*Result, error) {
+func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, error) {
 	if opts.MaxShift == 0 {
 		opts.MaxShift = 16
 	}
@@ -131,8 +142,7 @@ func rewrite(img *obj.Image, opts Options) (*Result, error) {
 	stats := Stats{CodeSize: img.CodeSize()}
 	var g *cfg.Graph
 	var recovered map[uint64]bool
-	if opts.Resolve {
-		ts := resolve.Resolve(img)
+	if ts != nil {
 		recovered = make(map[uint64]bool)
 		for a := range ts.Dis.Insns {
 			if _, ok := d.Insns[a]; !ok {

@@ -173,11 +173,18 @@ func (c *Cluster) Offer(ctx context.Context, e *store.Entry) {
 	c.met.Offers.Inc()
 	if err := p.remote.Put(ctx, e); err != nil {
 		p.failure(c)
-		c.offerErrors.Add(1)
-		c.met.OfferErrors.Inc()
+		c.CountOfferError()
 		return
 	}
 	p.success()
+}
+
+// CountOfferError records a failed offer, in Stats and in the metrics
+// counter alike. Offer calls it itself; a caller that recovers a panic
+// around Offer calls it so the failure is not lost.
+func (c *Cluster) CountOfferError() {
+	c.offerErrors.Add(1)
+	c.met.OfferErrors.Inc()
 }
 
 // allow reports whether a call to this peer may proceed. An open breaker

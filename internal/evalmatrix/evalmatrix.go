@@ -28,11 +28,9 @@ import (
 	"sort"
 	"time"
 
-	"github.com/eurosys26p57/chimera/internal/chbp"
 	"github.com/eurosys26p57/chimera/internal/corpus"
 	"github.com/eurosys26p57/chimera/internal/kernel"
 	"github.com/eurosys26p57/chimera/internal/obj"
-	"github.com/eurosys26p57/chimera/internal/resolve"
 	"github.com/eurosys26p57/chimera/internal/rewriters"
 	"github.com/eurosys26p57/chimera/internal/riscv"
 )
@@ -65,79 +63,31 @@ func (g Grade) Rank() int {
 	return 5
 }
 
-// Config is one rewriter configuration under evaluation. The "relocate"
-// lineage from the paper is represented by the strawman configs: the same
-// relocation pipeline as chbp with all-trap entries instead of SMILE.
+// Config is one rewriter configuration under evaluation: a registered
+// rewriter, plain or resolver-assisted. The "relocate" lineage from the
+// paper is represented by the strawman configs: the same relocation
+// pipeline as chbp with all-trap entries instead of SMILE.
 type Config struct {
 	Name    string
+	Method  string
 	Resolve bool
-	rewrite func(img *obj.Image, ts *resolve.TargetSet) (kernel.Variant, error)
 }
 
 // targetISA is the downgrade-direction core every rewritten binary must
 // run on: the corpus is RV64GCV, the target core lacks V.
 const targetISA = riscv.RV64GC
 
-func fromCHBP(res *chbp.Result, err error) (kernel.Variant, error) {
-	if err != nil {
-		return kernel.Variant{}, err
-	}
-	return kernel.Variant{ISA: res.Image.ISA, Image: res.Image, Tables: res.Tables}, nil
-}
-
-// Configs lists every evaluated rewriter configuration, each with and
-// without resolver assistance.
+// Configs lists every evaluated rewriter configuration, each without and
+// with resolver assistance ("-resolve"): chbp, the system under
+// evaluation, first, then the baselines in the registry's order.
 func Configs() []Config {
-	return []Config{
-		{Name: "chbp", rewrite: func(img *obj.Image, _ *resolve.TargetSet) (kernel.Variant, error) {
-			return fromCHBP(rewriters.CHBP(img, targetISA, false))
-		}},
-		{Name: "chbp-resolve", Resolve: true, rewrite: func(img *obj.Image, _ *resolve.TargetSet) (kernel.Variant, error) {
-			return fromCHBP(chbp.Rewrite(img, chbp.Options{TargetISA: targetISA, Resolve: true}))
-		}},
-		{Name: "strawman", rewrite: func(img *obj.Image, _ *resolve.TargetSet) (kernel.Variant, error) {
-			return fromCHBP(rewriters.Strawman(img, targetISA, false))
-		}},
-		{Name: "strawman-resolve", Resolve: true, rewrite: func(img *obj.Image, _ *resolve.TargetSet) (kernel.Variant, error) {
-			return fromCHBP(chbp.Rewrite(img, chbp.Options{
-				TargetISA: targetISA, Trampoline: chbp.TrapEntry, Resolve: true,
-			}))
-		}},
-		{Name: "safer", rewrite: func(img *obj.Image, _ *resolve.TargetSet) (kernel.Variant, error) {
-			rw, err := rewriters.Safer(img, targetISA, false)
-			if err != nil {
-				return kernel.Variant{}, err
-			}
-			return kernel.Variant{
-				ISA: rw.Image.ISA, Image: rw.Image, Tables: rw.Tables,
-				AddrMap: rw.AddrMap, SaferChecks: true,
-			}, nil
-		}},
-		{Name: "safer-resolve", Resolve: true, rewrite: func(img *obj.Image, ts *resolve.TargetSet) (kernel.Variant, error) {
-			rw, err := rewriters.SaferWith(img, targetISA, false, ts)
-			if err != nil {
-				return kernel.Variant{}, err
-			}
-			return kernel.Variant{
-				ISA: rw.Image.ISA, Image: rw.Image, Tables: rw.Tables,
-				AddrMap: rw.AddrMap, SaferChecks: true, SaferResolved: rw.Resolved,
-			}, nil
-		}},
-		{Name: "armore", rewrite: func(img *obj.Image, _ *resolve.TargetSet) (kernel.Variant, error) {
-			rw, err := rewriters.ARMore(img, targetISA, false)
-			if err != nil {
-				return kernel.Variant{}, err
-			}
-			return kernel.Variant{ISA: rw.Image.ISA, Image: rw.Image, Tables: rw.Tables, AddrMap: rw.AddrMap}, nil
-		}},
-		{Name: "armore-resolve", Resolve: true, rewrite: func(img *obj.Image, ts *resolve.TargetSet) (kernel.Variant, error) {
-			rw, err := rewriters.ARMoreWith(img, targetISA, false, ts)
-			if err != nil {
-				return kernel.Variant{}, err
-			}
-			return kernel.Variant{ISA: rw.Image.ISA, Image: rw.Image, Tables: rw.Tables, AddrMap: rw.AddrMap}, nil
-		}},
+	methods := rewriters.Methods()
+	sort.SliceStable(methods, func(i, j int) bool { return methods[i] == "chbp" && methods[j] != "chbp" })
+	var out []Config
+	for _, m := range methods {
+		out = append(out, Config{Name: m, Method: m}, Config{Name: m + "-resolve", Method: m, Resolve: true})
 	}
+	return out
 }
 
 // ConfigByName looks a configuration up.
@@ -326,18 +276,15 @@ func evalSeed(cfg Config, prog *corpus.Program, ref *runOutcome, traceThreshold 
 			res = seedResult{grade: GradeCrash, detail: fmt.Sprintf("panic: %v", r)}
 		}
 	}()
-	var ts *resolve.TargetSet
-	if cfg.Resolve {
-		ts = resolve.Resolve(prog.Image)
-	}
-	v, err := cfg.rewrite(prog.Image.Clone(), ts)
+	rw, err := rewriters.Rewrite(prog.Image.Clone(), cfg.Method, rewriters.Options{Target: targetISA, Resolve: cfg.Resolve})
 	if err != nil {
 		detail := err.Error()
-		if !errors.Is(err, chbp.ErrRewriteReject) {
+		if !errors.Is(err, rewriters.ErrRewriteReject) {
 			detail = "untyped rewrite error: " + detail
 		}
 		return seedResult{grade: GradeReject, detail: detail}
 	}
+	v := rw.Variant()
 	out := runVariant(v, prog.Image.Name+"+"+cfg.Name, targetISA, prog.Image, prog.Budget, traceThreshold)
 	if out.simErr != nil {
 		return seedResult{grade: GradeCrash, detail: "simulator: " + out.simErr.Error()}

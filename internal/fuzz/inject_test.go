@@ -18,7 +18,7 @@ func corruptedStrawmanDiff(s Spec) (*Divergence, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := rewriters.Strawman(img, riscv.RV64GC, false)
+	res, err := rewriters.Rewrite(img, "strawman", rewriters.Options{Target: riscv.RV64GC})
 	if err != nil {
 		return nil, err
 	}

@@ -331,69 +331,47 @@ func rewriteCandidates(img *obj.Image, vector bool) []struct {
 		c   candidate
 		err error
 	}
-	add := func(name string, v kernel.Variant, core riscv.Ext, err error) {
+	add := func(name string, core riscv.Ext, rw *rewriters.Rewritten, err error) {
+		var v kernel.Variant
+		if err == nil {
+			v = rw.Variant()
+		}
 		out = append(out, struct {
 			c   candidate
 			err error
 		}{candidate{name, v, core}, err})
 	}
-	fromCHBP := func(name string, res *chbp.Result, err error, core riscv.Ext) {
-		if err != nil {
-			add(name, kernel.Variant{}, core, err)
-			return
-		}
-		add(name, kernel.Variant{ISA: res.Image.ISA, Image: res.Image, Tables: res.Tables}, core, nil)
-	}
 	if vector {
 		base := riscv.RV64GC
-		res, err := rewriters.CHBP(img, base, false)
-		fromCHBP("chbp-smile", res, err, base)
-		res, err = rewriters.Strawman(img, base, false)
-		fromCHBP("chbp-trapentry", res, err, base)
-		res, err = chbp.Rewrite(img, chbp.Options{TargetISA: base, Trampoline: chbp.GeneralReg})
-		fromCHBP("chbp-generalreg", res, err, base)
-		res, err = chbp.Rewrite(img, chbp.Options{TargetISA: base, Resolve: true})
-		fromCHBP("chbp-resolve", res, err, base)
-		if rw, err := rewriters.Safer(img, base, false); err != nil {
-			add("safer", kernel.Variant{}, base, err)
-		} else {
-			add("safer", kernel.Variant{
-				ISA: rw.Image.ISA, Image: rw.Image, Tables: rw.Tables,
-				AddrMap: rw.AddrMap, SaferChecks: true,
-			}, base, nil)
-		}
-		// Resolver-assisted regeneration baselines: same rewriters, seeded
-		// with the TargetSet, so statically patched indirect paths (and
-		// Safer's resolved-target fast path) get differential coverage too.
+		// One resolver pass seeds every resolver-assisted candidate, so
+		// statically patched indirect paths (and Safer's resolved-target
+		// fast path) get differential coverage too.
 		ts := resolve.Resolve(img)
-		if rw, err := rewriters.SaferWith(img, base, false, ts); err != nil {
-			add("safer-resolve", kernel.Variant{}, base, err)
-		} else {
-			add("safer-resolve", kernel.Variant{
-				ISA: rw.Image.ISA, Image: rw.Image, Tables: rw.Tables,
-				AddrMap: rw.AddrMap, SaferChecks: true, SaferResolved: rw.Resolved,
-			}, base, nil)
+		rewrite := func(method string, resolved bool) (*rewriters.Rewritten, error) {
+			return rewriters.RewriteWith(img, method, rewriters.Options{Target: base, Resolve: resolved}, ts)
 		}
-		if rw, err := rewriters.ARMore(img, base, false); err != nil {
-			add("armore", kernel.Variant{}, base, err)
-		} else {
-			add("armore", kernel.Variant{
-				ISA: rw.Image.ISA, Image: rw.Image, Tables: rw.Tables, AddrMap: rw.AddrMap,
-			}, base, nil)
-		}
-		if rw, err := rewriters.ARMoreWith(img, base, false, ts); err != nil {
-			add("armore-resolve", kernel.Variant{}, base, err)
-		} else {
-			add("armore-resolve", kernel.Variant{
-				ISA: rw.Image.ISA, Image: rw.Image, Tables: rw.Tables, AddrMap: rw.AddrMap,
-			}, base, nil)
-		}
+		rw, err := rewrite("chbp", false)
+		add("chbp-smile", base, rw, err)
+		rw, err = rewrite("strawman", false)
+		add("chbp-trapentry", base, rw, err)
+		rw, err = rewriters.FromCHBP(chbp.Rewrite(img, chbp.Options{TargetISA: base, Trampoline: chbp.GeneralReg}))
+		add("chbp-generalreg", base, rw, err)
+		rw, err = rewrite("chbp", true)
+		add("chbp-resolve", base, rw, err)
+		rw, err = rewrite("safer", false)
+		add("safer", base, rw, err)
+		rw, err = rewrite("safer", true)
+		add("safer-resolve", base, rw, err)
+		rw, err = rewrite("armore", false)
+		add("armore", base, rw, err)
+		rw, err = rewrite("armore", true)
+		add("armore-resolve", base, rw, err)
 	}
 	// Upgrade direction: rewrite toward a richer ISA (idiom vectorization,
 	// Zba folding) and run on a core that has it.
 	rich := img.ISA | riscv.ExtV | riscv.ExtB
-	res, err := chbp.Rewrite(img, chbp.Options{TargetISA: rich})
-	fromCHBP("chbp-upgrade", res, err, rich)
+	rw, err := rewriters.Rewrite(img, "chbp", rewriters.Options{Target: rich})
+	add("chbp-upgrade", rich, rw, err)
 	return out
 }
 

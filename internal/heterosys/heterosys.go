@@ -8,7 +8,6 @@ package heterosys
 import (
 	"fmt"
 
-	"github.com/eurosys26p57/chimera/internal/chbp"
 	"github.com/eurosys26p57/chimera/internal/kernel"
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/rewriters"
@@ -28,6 +27,9 @@ const (
 
 // Systems lists them in the paper's presentation order.
 var Systems = []System{FAM, Safer, MELF, Chimera}
+
+// rewriterOf names the registered rewriter behind each rewriting system.
+var rewriterOf = map[System]string{Chimera: "chbp", Safer: "safer"}
 
 // Prepared holds everything needed to instantiate processes of one program
 // under one system. Rewrites are done once and reused across task instances.
@@ -57,41 +59,20 @@ func Prepare(sys System, baseImg, extImg *obj.Image, inputExt bool) (*Prepared, 
 		return &Prepared{System: sys, FAMMode: true, Variants: []kernel.Variant{
 			{ISA: input.ISA, Image: input},
 		}}, nil
-	case Chimera:
+	case Chimera, Safer:
+		// Rewrite the input once for the other core class; the original
+		// stays the view for its own.
+		target, native := riscv.RV64GCV, riscv.RV64GC
 		if inputExt {
-			res, err := chbp.Rewrite(input, chbp.Options{TargetISA: riscv.RV64GC})
-			if err != nil {
-				return nil, fmt.Errorf("heterosys: chimera downgrade: %w", err)
-			}
-			return &Prepared{System: sys, Variants: []kernel.Variant{
-				{ISA: riscv.RV64GCV, Image: input},
-				{ISA: riscv.RV64GC, Image: res.Image, Tables: res.Tables},
-			}}, nil
+			target, native = native, target
 		}
-		res, err := chbp.Rewrite(input, chbp.Options{TargetISA: riscv.RV64GCV})
+		rw, err := rewriters.Rewrite(input, rewriterOf[sys], rewriters.Options{Target: target})
 		if err != nil {
-			return nil, fmt.Errorf("heterosys: chimera upgrade: %w", err)
+			return nil, fmt.Errorf("heterosys: %s: %w", sys, err)
 		}
 		return &Prepared{System: sys, Variants: []kernel.Variant{
-			{ISA: riscv.RV64GC, Image: input},
-			{ISA: riscv.RV64GCV, Image: res.Image, Tables: res.Tables},
-		}}, nil
-	case Safer:
-		var target riscv.Ext
-		var otherISA riscv.Ext
-		if inputExt {
-			target, otherISA = riscv.RV64GC, riscv.RV64GCV
-		} else {
-			target, otherISA = riscv.RV64GCV, riscv.RV64GC
-		}
-		rw, err := rewriters.Safer(input, target, false)
-		if err != nil {
-			return nil, fmt.Errorf("heterosys: safer: %w", err)
-		}
-		return &Prepared{System: sys, Variants: []kernel.Variant{
-			{ISA: otherISA, Image: input},
-			{ISA: target, Image: rw.Image, Tables: rw.Tables,
-				AddrMap: rw.AddrMap, SaferChecks: true},
+			{ISA: native, Image: input},
+			rw.Variant(),
 		}}, nil
 	}
 	return nil, fmt.Errorf("heterosys: unknown system %q", sys)

@@ -12,23 +12,20 @@ import (
 	"github.com/eurosys26p57/chimera/internal/translate"
 )
 
-// ARMore rewrites an image the way ARMore does when ported to RISC-V
+// ARMoreWith rewrites an image the way ARMore does when ported to RISC-V
 // (§2.2): every instruction is relocated to a new code section; the
 // original code section becomes a field of single-instruction trampolines
 // keeping the original-to-relocated address mapping alive for indirect
 // jumps. RISC-V's jal reaches only ±1MB, so most trampolines in large
 // binaries degrade to traps — the effect the paper measures at 171.5%
 // average overhead.
-func ARMore(img *obj.Image, targetISA riscv.Ext, emptyPatch bool) (*Rewritten, error) {
-	return ARMoreWith(img, targetISA, emptyPatch, nil)
-}
-
-// ARMoreWith is ARMore seeded with a resolver TargetSet: the completed
-// disassembly covers code reachable only through recovered jump tables,
-// so those arms get relocated copies and per-instruction trampolines
-// like any other code instead of faulting at their original addresses.
-// ts came from resolve.Resolve on the same image; nil means plain ARMore.
-// Panics and image-dependent failures come back as ErrRewriteReject.
+//
+// A resolver TargetSet ts (from resolve.Resolve on the same image; nil
+// means plain ARMore) completes the disassembly with code reachable only
+// through recovered jump tables, so those arms get relocated copies and
+// per-instruction trampolines like any other code instead of faulting at
+// their original addresses. Panics and image-dependent failures come back
+// as ErrRewriteReject.
 func ARMoreWith(img *obj.Image, targetISA riscv.Ext, emptyPatch bool, ts *resolve.TargetSet) (out *Rewritten, err error) {
 	defer reject("armore", &out, &err)
 	d := dis.Disassemble(img)
@@ -52,7 +49,8 @@ func ARMoreWith(img *obj.Image, targetISA riscv.Ext, emptyPatch bool, ts *resolv
 	rw := img.Clone()
 	rw.Name = img.Name + ".armore"
 	tables := chbp.NewTables(img.GP)
-	stats := Stats{Insts: len(d.Order), NewCodeBytes: len(rel.code), RecoveredInsts: recovered}
+	stats := Stats{Insts: len(d.Order), NewCodeBytes: len(rel.code),
+		RecoveredInsts: recovered, ResolvedTargets: len(resolved)}
 
 	// Fill the original text with single-instruction trampolines.
 	for _, a := range d.Order {

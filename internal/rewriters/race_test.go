@@ -44,60 +44,32 @@ func TestRewritersConcurrentRace(t *testing.T) {
 	src := raceImage(t)
 	target := riscv.RV64GC
 
-	type method struct {
-		name string
-		run  func(img *obj.Image) (*obj.Image, error)
-	}
-	methods := []method{
-		{"chbp", func(img *obj.Image) (*obj.Image, error) {
-			res, err := CHBP(img, target, false)
-			if err != nil {
-				return nil, err
-			}
-			return res.Image, nil
-		}},
-		{"strawman", func(img *obj.Image) (*obj.Image, error) {
-			res, err := Strawman(img, target, false)
-			if err != nil {
-				return nil, err
-			}
-			return res.Image, nil
-		}},
-		{"safer", func(img *obj.Image) (*obj.Image, error) {
-			res, err := Safer(img, target, false)
-			if err != nil {
-				return nil, err
-			}
-			return res.Image, nil
-		}},
-		{"armore", func(img *obj.Image) (*obj.Image, error) {
-			res, err := ARMore(img, target, false)
-			if err != nil {
-				return nil, err
-			}
-			return res.Image, nil
-		}},
-	}
-
 	// Serial reference per method.
-	want := make(map[string][]byte)
-	for _, m := range methods {
-		out, err := m.run(src.Clone())
+	run := func(method string) (*obj.Image, error) {
+		res, err := Rewrite(src.Clone(), method, Options{Target: target})
 		if err != nil {
-			t.Fatalf("%s reference: %v", m.name, err)
+			return nil, err
 		}
-		want[m.name] = wireBytes(t, out)
+		return res.Image, nil
+	}
+	want := make(map[string][]byte)
+	for _, m := range Methods() {
+		out, err := run(m)
+		if err != nil {
+			t.Fatalf("%s reference: %v", m, err)
+		}
+		want[m] = wireBytes(t, out)
 	}
 
 	const goroutines = 8
 	var wg sync.WaitGroup
-	errs := make(chan error, len(methods)*goroutines)
-	for _, m := range methods {
+	errs := make(chan error, len(Methods())*goroutines)
+	for _, m := range Methods() {
 		for g := 0; g < goroutines; g++ {
 			wg.Add(1)
-			go func(m method) {
+			go func(m string) {
 				defer wg.Done()
-				out, err := m.run(src.Clone())
+				out, err := run(m)
 				if err != nil {
 					errs <- err
 					return
@@ -107,8 +79,8 @@ func TestRewritersConcurrentRace(t *testing.T) {
 					errs <- err
 					return
 				}
-				if !bytes.Equal(buf.Bytes(), want[m.name]) {
-					t.Errorf("%s: concurrent rewrite differs from serial reference", m.name)
+				if !bytes.Equal(buf.Bytes(), want[m]) {
+					t.Errorf("%s: concurrent rewrite differs from serial reference", m)
 				}
 			}(m)
 		}

@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"github.com/eurosys26p57/chimera/internal/chbp"
 	"github.com/eurosys26p57/chimera/internal/dis"
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/riscv"
@@ -282,30 +281,4 @@ func newLayout(img *obj.Image) (vregAddr, newBase uint64) {
 	vregAddr = obj.AlignUp(highest, obj.PageSize)
 	newBase = obj.AlignUp(vregAddr+translate.VRegFileSize, obj.PageSize)
 	return
-}
-
-// Rewritten is a baseline rewrite result.
-type Rewritten struct {
-	Image  *obj.Image
-	Tables *chbp.Tables
-	// AddrMap maps original to relocated instruction addresses (Safer and
-	// ARMore). The kernel's Safer hook consults it.
-	AddrMap map[uint64]uint64
-	// Resolved is the set of High-confidence indirect targets (original
-	// addresses) the resolver recovered, when the rewrite was seeded with
-	// one (SaferWith/ARMoreWith). The Safer hook skips the translation
-	// table-path penalty for them.
-	Resolved map[uint64]bool
-	// Stats summarizes the rewrite.
-	Stats Stats
-}
-
-// Stats summarizes a baseline rewrite.
-type Stats struct {
-	Insts           int
-	Sources         int
-	Trampolines     int // single-inst trampolines placed (ARMore)
-	TrapTrampolines int // trampolines that had to be trap-based
-	NewCodeBytes    int
-	RecoveredInsts  int // instructions only the resolver's roots reached
 }

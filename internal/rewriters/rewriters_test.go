@@ -129,7 +129,7 @@ func TestARMoreDowngrade(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		img := buildProgram(t, compress)
 		want := reference(t, img)
-		rw, err := ARMore(img, riscv.RV64GC, false)
+		rw, err := Rewrite(img, "armore", Options{Target: riscv.RV64GC})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestARMoreDowngrade(t *testing.T) {
 
 func TestARMoreTrapsOnCompressedSlots(t *testing.T) {
 	img := buildProgram(t, true)
-	rw, err := ARMore(img, riscv.RV64GC, false)
+	rw, err := Rewrite(img, "armore", Options{Target: riscv.RV64GC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestSaferDowngrade(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		img := buildProgram(t, compress)
 		want := reference(t, img)
-		rw, err := Safer(img, riscv.RV64GC, false)
+		rw, err := Rewrite(img, "safer", Options{Target: riscv.RV64GC})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestSaferDowngrade(t *testing.T) {
 
 func TestSaferDropsOriginalText(t *testing.T) {
 	img := buildProgram(t, false)
-	rw, err := Safer(img, riscv.RV64GC, false)
+	rw, err := Rewrite(img, "safer", Options{Target: riscv.RV64GC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,14 +187,14 @@ func TestSaferDropsOriginalText(t *testing.T) {
 
 func TestStrawmanAndCHBPWrappers(t *testing.T) {
 	img := buildProgram(t, true)
-	sm, err := Strawman(img, riscv.RV64GC, false)
+	sm, err := Rewrite(img, "strawman", Options{Target: riscv.RV64GC})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sm.Stats.TrapEntries == 0 {
 		t.Error("strawman placed no trap entries")
 	}
-	ch, err := CHBP(img, riscv.RV64GC, false)
+	ch, err := Rewrite(img, "chbp", Options{Target: riscv.RV64GC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestStrawmanAndCHBPWrappers(t *testing.T) {
 func TestEmptyPatchBaselines(t *testing.T) {
 	img := buildProgram(t, true)
 	want := reference(t, img)
-	ar, err := ARMore(img, riscv.RV64GCV, true)
+	ar, err := Rewrite(img, "armore", Options{Target: riscv.RV64GCV, EmptyPatch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestEmptyPatchBaselines(t *testing.T) {
 	if got := int64(cpu.X[riscv.A0]); got != want {
 		t.Errorf("armore empty-patch result %d, want %d", got, want)
 	}
-	sf, err := Safer(img, riscv.RV64GCV, true)
+	sf, err := Rewrite(img, "safer", Options{Target: riscv.RV64GCV, EmptyPatch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,19 +234,19 @@ func TestCostOrdering(t *testing.T) {
 		return cpu.Cycles
 	}
 
-	ch, err := CHBP(img, riscv.RV64GCV, true)
+	ch, err := Rewrite(img, "chbp", Options{Target: riscv.RV64GCV, EmptyPatch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	chCPU, _ := run(t, &Rewritten{Image: ch.Image, Tables: ch.Tables}, riscv.RV64GCV, false)
+	chCPU, _ := run(t, ch, riscv.RV64GCV, false)
 
-	sf, err := Safer(img, riscv.RV64GCV, true)
+	sf, err := Rewrite(img, "safer", Options{Target: riscv.RV64GCV, EmptyPatch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sfCycles := runCycles(sf, true, riscv.RV64GCV)
 
-	ar, err := ARMore(img, riscv.RV64GCV, true)
+	ar, err := Rewrite(img, "armore", Options{Target: riscv.RV64GCV, EmptyPatch: true})
 	if err != nil {
 		t.Fatal(err)
 	}

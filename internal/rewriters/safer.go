@@ -23,15 +23,6 @@ const (
 	saferUnencodedDenom = 10
 )
 
-// Safer rewrites an image the way the Safer regeneration baseline does:
-// all code is regenerated at new addresses with direct control flow fixed
-// statically; every indirect jump is checked at run time and its target
-// translated from the original address space. The original code section is
-// dropped from the executable mapping — regeneration keeps no trampolines.
-func Safer(img *obj.Image, targetISA riscv.Ext, emptyPatch bool) (*Rewritten, error) {
-	return SaferWith(img, targetISA, emptyPatch, nil)
-}
-
 // ErrRewriteReject is the typed reject every rewriter entry point in this
 // package returns for adversarial inputs: recovered panics and
 // image-dependent analysis or regeneration failures. It aliases the chbp
@@ -50,14 +41,20 @@ func reject(name string, out **Rewritten, err *error) {
 	}
 }
 
-// SaferWith is Safer seeded with a resolver TargetSet: the completed
-// disassembly (recursive descent plus every High-confidence indirect
-// target) replaces the plain one, so code reachable only through jump
-// tables is regenerated too instead of being dropped with the original
-// text. Resolved targets are also statically encoded, shrinking Safer's
-// runtime translation tables — SaferHookWith skips the table-path
-// penalty for them. ts came from resolve.Resolve on the same image; nil
-// means plain Safer.
+// SaferWith rewrites an image the way the Safer regeneration baseline
+// does: all code is regenerated at new addresses with direct control flow
+// fixed statically; every indirect jump is checked at run time and its
+// target translated from the original address space. The original code
+// section is dropped from the executable mapping — regeneration keeps no
+// trampolines.
+//
+// A resolver TargetSet ts (from resolve.Resolve on the same image; nil
+// means plain Safer) replaces the plain disassembly with the completed
+// one (recursive descent plus every High-confidence indirect target), so
+// code reachable only through jump tables is regenerated too instead of
+// being dropped with the original text. Resolved targets are also
+// statically encoded, shrinking Safer's runtime translation tables —
+// SaferHookWith skips the table-path penalty for them.
 func SaferWith(img *obj.Image, targetISA riscv.Ext, emptyPatch bool, ts *resolve.TargetSet) (out *Rewritten, err error) {
 	defer reject("safer", &out, &err)
 	d := dis.Disassemble(img)
@@ -118,7 +115,9 @@ func SaferWith(img *obj.Image, targetISA riscv.Ext, emptyPatch bool, ts *resolve
 		Tables:   tables,
 		AddrMap:  rel.addrMap,
 		Resolved: resolved,
-		Stats:    Stats{Insts: len(d.Order), NewCodeBytes: len(rel.code), RecoveredInsts: recovered},
+		Stats: Stats{Insts: len(d.Order), NewCodeBytes: len(rel.code),
+			RecoveredInsts: recovered, ResolvedTargets: len(resolved)},
+		saferChecks: true,
 	}, nil
 }
 
@@ -163,28 +162,4 @@ func SaferHookWith(addrMap map[uint64]uint64, textStart, textEnd uint64, resolve
 		}
 		return target, cost
 	}
-}
-
-// Strawman is the paper's strawman binary patching: CHBP's translation and
-// placement, but every long-distance entry is a trap-based trampoline.
-func Strawman(img *obj.Image, targetISA riscv.Ext, emptyPatch bool) (*chbp.Result, error) {
-	return chbp.Rewrite(img, chbp.Options{
-		TargetISA:  targetISA,
-		Trampoline: chbp.TrapEntry,
-		EmptyPatch: emptyPatch,
-	})
-}
-
-// CHBP is the convenience wrapper running full CHBP with defaults.
-func CHBP(img *obj.Image, targetISA riscv.Ext, emptyPatch bool) (*chbp.Result, error) {
-	return chbp.Rewrite(img, chbp.Options{TargetISA: targetISA, EmptyPatch: emptyPatch})
-}
-
-// TextRange returns the executable range of the original image (for hooks).
-func TextRange(img *obj.Image) (uint64, uint64) {
-	t := img.Text()
-	if t == nil {
-		return 0, 0
-	}
-	return t.Addr, t.End()
 }

@@ -20,6 +20,7 @@ import (
 	"github.com/eurosys26p57/chimera/internal/bench"
 	"github.com/eurosys26p57/chimera/internal/chaos"
 	"github.com/eurosys26p57/chimera/internal/kernel"
+	"github.com/eurosys26p57/chimera/internal/rewriters"
 	"github.com/eurosys26p57/chimera/internal/riscv"
 	"github.com/eurosys26p57/chimera/internal/telemetry"
 	"github.com/eurosys26p57/chimera/internal/workload"
@@ -447,7 +448,7 @@ func TestChaosSoak(t *testing.T) {
 	}
 	var rw []rwCase
 	for _, img := range images {
-		for _, m := range Methods {
+		for _, m := range rewriters.Methods() {
 			ref, err := refSrv.Rewrite(context.Background(), &RewriteRequest{Method: m, Target: "rv64gc", Image: img})
 			if err != nil {
 				t.Fatalf("reference %s: %v", m, err)

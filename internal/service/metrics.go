@@ -5,6 +5,7 @@ import (
 
 	"github.com/eurosys26p57/chimera/internal/emu"
 	"github.com/eurosys26p57/chimera/internal/kernel"
+	"github.com/eurosys26p57/chimera/internal/rewriters"
 	"github.com/eurosys26p57/chimera/internal/telemetry"
 )
 
@@ -217,7 +218,7 @@ func observeStage(h *telemetry.Histogram, d time.Duration) { h.Observe(d.Seconds
 // recordResolve folds one resolver-on rewrite's recovery stats into the
 // chimera_resolve_* families. Called only on cold rewrites (the worker
 // path), so cache hits never double-count.
-func (m *serviceMetrics) recordResolve(st *RewriteStats) {
+func (m *serviceMetrics) recordResolve(st *rewriters.Stats) {
 	if st.Resolve == nil {
 		return
 	}

@@ -30,7 +30,6 @@ import (
 	"github.com/eurosys26p57/chimera/internal/emu"
 	"github.com/eurosys26p57/chimera/internal/kernel"
 	"github.com/eurosys26p57/chimera/internal/obj"
-	"github.com/eurosys26p57/chimera/internal/resolve"
 	"github.com/eurosys26p57/chimera/internal/rewriters"
 	"github.com/eurosys26p57/chimera/internal/riscv"
 	"github.com/eurosys26p57/chimera/internal/store"
@@ -43,10 +42,6 @@ var (
 	ErrBadRequest   = errors.New("service: bad request")
 	ErrShuttingDown = errors.New("service: shutting down")
 )
-
-// Methods lists the rewriters the service exposes, in the paper's
-// presentation order.
-var Methods = []string{"strawman", "safer", "armore", "chbp"}
 
 // Config sizes the server. Zero values pick defaults.
 type Config struct {
@@ -170,7 +165,7 @@ func (c Config) withDefaults() Config {
 // with byte-identical wire forms and equal canonicalized options share one
 // cache entry.
 type RewriteRequest struct {
-	Method           string // chbp, strawman, safer, armore
+	Method           string // a registered rewriter (rewriters.Methods)
 	Target           string // rv64g, rv64gc, rv64gcv, rv64gcb, rv64gcbv
 	EmptyPatch       bool   // §6.2 methodology: replicate sources
 	DisableExitShift bool   // ablation A2
@@ -184,44 +179,17 @@ type RewriteRequest struct {
 	Image   *obj.Image
 }
 
-// RewriteStats carries the per-method rewrite counters. Fields are a union
-// across methods; unset ones are zero.
-type RewriteStats struct {
-	TotalInsts      int     `json:"total_insts,omitempty"`
-	SourceInsts     int     `json:"source_insts,omitempty"`
-	ExtPct          float64 `json:"ext_pct,omitempty"`
-	Sites           int     `json:"sites,omitempty"`
-	SmileEntries    int     `json:"smile_entries,omitempty"`
-	TrapEntries     int     `json:"trap_entries,omitempty"`
-	TrapExits       int     `json:"trap_exits,omitempty"`
-	UpgradeSites    int     `json:"upgrade_sites,omitempty"`
-	TargetBytes     int     `json:"target_bytes,omitempty"`
-	Trampolines     int     `json:"trampolines,omitempty"`
-	TrapTrampolines int     `json:"trap_trampolines,omitempty"`
-	Insts           int     `json:"insts,omitempty"`
-	NewCodeBytes    int     `json:"new_code_bytes,omitempty"`
-
-	// Resolver integration (RewriteRequest.Resolve).
-	ResolvedSites        int `json:"resolved_sites,omitempty"`
-	ResolvedTargets      int `json:"resolved_targets,omitempty"`
-	RecoveredInsts       int `json:"recovered_insts,omitempty"`
-	PrematerializedSites int `json:"prematerialized_sites,omitempty"`
-	AvoidedRewrites      int `json:"avoided_rewrites,omitempty"`
-	// Resolve is the per-tier site/target breakdown of the resolver pass.
-	Resolve *resolve.Summary `json:"resolve,omitempty"`
-}
-
 // RewriteResult is a completed rewrite. ImageBytes is the rewritten image
 // in the obj wire format — a cache hit returns the exact bytes the cold
 // rewrite produced. Callers must not mutate ImageBytes: it is shared with
 // the cache and with concurrent requests.
 type RewriteResult struct {
-	Key        string       `json:"key"` // canonical content address
-	Method     string       `json:"method"`
-	Target     string       `json:"target"`
-	ImageBytes []byte       `json:"image"`
-	Stats      RewriteStats `json:"stats"`
-	CacheHit   bool         `json:"cache_hit"`
+	Key        string          `json:"key"` // canonical content address
+	Method     string          `json:"method"`
+	Target     string          `json:"target"`
+	ImageBytes []byte          `json:"image"`
+	Stats      rewriters.Stats `json:"stats"`
+	CacheHit   bool            `json:"cache_hit"`
 	// Tier says which store tier served a cache hit ("memory" or "disk");
 	// empty for cold rewrites and degraded answers.
 	Tier    string `json:"tier,omitempty"`
@@ -300,6 +268,9 @@ type Server struct {
 	st     *store.Tiered
 	clu    *cluster.Cluster
 	offers sync.WaitGroup
+	// offer pushes one entry to its owner (clu.Offer); tests swap it to
+	// inject faults into the async offer goroutine.
+	offer func(context.Context, *store.Entry)
 
 	flight flightGroup
 	brk    *breakers
@@ -412,6 +383,9 @@ func NewServer(cfg Config) (*Server, error) {
 			BreakerOpen: tel.peerBreakerTrips,
 		},
 	})
+	if s.clu != nil {
+		s.offer = s.clu.Offer
+	}
 	if cfg.TraceCapacity >= 0 {
 		s.tracer = telemetry.NewTracer(cfg.TraceCapacity)
 	}
@@ -595,15 +569,8 @@ func cacheKey(req *RewriteRequest, isa riscv.Ext) (string, error) {
 }
 
 func validateRewrite(req *RewriteRequest) (riscv.Ext, error) {
-	known := false
-	for _, m := range Methods {
-		if req.Method == m {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return 0, fmt.Errorf("%w: unknown method %q (want one of %v)", ErrBadRequest, req.Method, Methods)
+	if _, ok := rewriters.Lookup(req.Method); !ok {
+		return 0, fmt.Errorf("%w: unknown method %q (want one of %v)", ErrBadRequest, req.Method, rewriters.Methods())
 	}
 	isa, err := riscv.ParseISA(req.Target)
 	if err != nil {
@@ -890,7 +857,8 @@ func (s *Server) peerFetch(ctx context.Context, key string) (*RewriteResult, boo
 // rewrite. The offer is asynchronous (the requester does not wait on a
 // peer), bounded by the peer timeout, tracked for shutdown drain, and
 // absorbed on failure — durability elsewhere is an optimization, never a
-// dependency.
+// dependency. The goroutine is a panic boundary: a panic counts as a failed
+// offer and the shutdown drain still sees it finish.
 func (s *Server) offerToOwner(res *RewriteResult) {
 	if s.clu == nil {
 		return
@@ -905,84 +873,39 @@ func (s *Server) offerToOwner(res *RewriteResult) {
 	s.offers.Add(1)
 	go func() {
 		defer s.offers.Done()
+		defer func() {
+			if r := recover(); r != nil {
+				s.clu.CountOfferError()
+			}
+		}()
 		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.PeerTimeout)
 		defer cancel()
-		s.clu.Offer(ctx, e)
+		s.offer(ctx, e)
 	}()
 }
 
 // doRewrite performs the actual rewrite on a worker. The rewriters clone
 // the input internally, so req.Image may be shared across requests. With
-// Resolve set, the resolver pass runs here on the worker too, and its
-// per-tier summary rides along in the stats.
+// Resolve set, the registry runs the resolver pass here on the worker too,
+// and its per-tier summary rides along in the stats.
 func doRewrite(req *RewriteRequest, isa riscv.Ext, key string) (*RewriteResult, error) {
-	out := &RewriteResult{Key: key, Method: req.Method, Target: isa.String()}
-	var ts *resolve.TargetSet
-	if req.Resolve {
-		ts = resolve.Resolve(req.Image)
-		sum := ts.Summary()
-		out.Stats.Resolve = &sum
-	}
-	var img *obj.Image
-	switch req.Method {
-	case "chbp", "strawman":
-		opts := chbp.Options{
-			TargetISA:        isa,
-			EmptyPatch:       req.EmptyPatch,
-			DisableExitShift: req.DisableExitShift,
-			DisableBatching:  req.DisableBatching,
-			DisableUpgrade:   req.DisableUpgrade,
-			Resolve:          req.Resolve,
-		}
-		if req.Method == "strawman" {
-			opts.Trampoline = chbp.TrapEntry
-		}
-		res, err := chbp.Rewrite(req.Image, opts)
-		if err != nil {
-			return nil, err
-		}
-		img = res.Image
-		st := res.Stats
-		sum := out.Stats.Resolve
-		out.Stats = RewriteStats{
-			TotalInsts: st.TotalInsts, SourceInsts: st.SourceInsts, ExtPct: st.ExtPct,
-			Sites: st.Sites, SmileEntries: st.SmileEntries, TrapEntries: st.TrapEntries,
-			TrapExits: st.TrapExits, UpgradeSites: st.UpgradeSites, TargetBytes: st.TargetBytes,
-			ResolvedSites: st.ResolvedSites, ResolvedTargets: st.ResolvedTargets,
-			RecoveredInsts: st.RecoveredInsts, PrematerializedSites: st.PrematerializedSites,
-			AvoidedRewrites: st.AvoidedRewrites, Resolve: sum,
-		}
-	case "safer":
-		res, err := rewriters.SaferWith(req.Image, isa, req.EmptyPatch, ts)
-		if err != nil {
-			return nil, err
-		}
-		img = res.Image
-		out.Stats.Insts = res.Stats.Insts
-		out.Stats.NewCodeBytes = res.Stats.NewCodeBytes
-		out.Stats.RecoveredInsts = res.Stats.RecoveredInsts
-		out.Stats.ResolvedTargets = len(res.Resolved)
-	case "armore":
-		res, err := rewriters.ARMoreWith(req.Image, isa, req.EmptyPatch, ts)
-		if err != nil {
-			return nil, err
-		}
-		img = res.Image
-		out.Stats.Insts = res.Stats.Insts
-		out.Stats.NewCodeBytes = res.Stats.NewCodeBytes
-		out.Stats.Trampolines = res.Stats.Trampolines
-		out.Stats.TrapTrampolines = res.Stats.TrapTrampolines
-		out.Stats.RecoveredInsts = res.Stats.RecoveredInsts
-		out.Stats.ResolvedTargets = len(res.Resolved)
-	default:
-		return nil, fmt.Errorf("%w: unknown method %q", ErrBadRequest, req.Method)
+	res, err := rewriters.Rewrite(req.Image, req.Method, rewriters.Options{
+		Target:           isa,
+		EmptyPatch:       req.EmptyPatch,
+		Resolve:          req.Resolve,
+		DisableExitShift: req.DisableExitShift,
+		DisableBatching:  req.DisableBatching,
+		DisableUpgrade:   req.DisableUpgrade,
+	})
+	if err != nil {
+		return nil, err
 	}
 	var buf bytes.Buffer
-	if _, err := img.WriteTo(&buf); err != nil {
+	if _, err := res.Image.WriteTo(&buf); err != nil {
 		return nil, fmt.Errorf("service: serializing result: %w", err)
 	}
-	out.ImageBytes = buf.Bytes()
-	return out, nil
+	return &RewriteResult{Key: key, Method: req.Method, Target: isa.String(),
+		ImageBytes: buf.Bytes(), Stats: res.Stats}, nil
 }
 
 // Run executes an image on a simulated core through the worker pool, under

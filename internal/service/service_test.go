@@ -15,6 +15,7 @@ import (
 	"github.com/eurosys26p57/chimera/internal/bench"
 	"github.com/eurosys26p57/chimera/internal/kernel"
 	"github.com/eurosys26p57/chimera/internal/obj"
+	"github.com/eurosys26p57/chimera/internal/rewriters"
 	"github.com/eurosys26p57/chimera/internal/riscv"
 	"github.com/eurosys26p57/chimera/internal/workload"
 )
@@ -52,7 +53,7 @@ func wire(t testing.TB, img *obj.Image) []byte {
 func combos(images []*obj.Image) []*RewriteRequest {
 	var out []*RewriteRequest
 	for _, img := range images {
-		for _, m := range Methods {
+		for _, m := range rewriters.Methods() {
 			out = append(out,
 				&RewriteRequest{Method: m, Target: "rv64gc", Image: img},
 				&RewriteRequest{Method: m, Target: "rv64gcv", EmptyPatch: true, Image: img})

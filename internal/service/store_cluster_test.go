@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"github.com/eurosys26p57/chimera/internal/chaos"
+	"github.com/eurosys26p57/chimera/internal/rewriters"
+	"github.com/eurosys26p57/chimera/internal/store"
 	"github.com/eurosys26p57/chimera/internal/telemetry"
 )
 
@@ -160,6 +162,46 @@ func startCluster(t testing.TB, n int, base func(i int) Config) ([]*Server, []st
 		}
 	})
 	return servers, urls
+}
+
+// TestOfferPanicIsolated: a panic inside the async shard-owner offer is
+// absorbed by the offer goroutine. It counts as a failed offer in /stats
+// and /metrics alike, the shutdown drain still sees the goroutine finish,
+// and the node keeps serving.
+func TestOfferPanicIsolated(t *testing.T) {
+	servers, _ := startCluster(t, 2, func(int) Config { return Config{Workers: 1} })
+	srv := servers[0]
+	srv.offer = func(context.Context, *store.Entry) { panic("injected offer fault") }
+
+	var offered uint64
+	for _, img := range testImages(t, 6) {
+		res, err := srv.Rewrite(context.Background(), &RewriteRequest{Method: "chbp", Target: "rv64gc", Image: img})
+		if err != nil || res.Degraded {
+			t.Fatalf("rewrite: err=%v degraded=%v", err, res != nil && res.Degraded)
+		}
+		if _, local := srv.clu.Owner(res.Key); !local {
+			offered++
+		}
+	}
+	if offered == 0 {
+		t.Fatal("no key owned by the peer; the offer path never ran")
+	}
+	drained := make(chan struct{})
+	go func() { srv.offers.Wait(); close(drained) }()
+	select {
+	case <-drained:
+	case <-time.After(30 * time.Second):
+		t.Fatal("panicking offer goroutine never released the drain group")
+	}
+	if got := srv.clu.Snapshot().OfferErrors; got != offered {
+		t.Errorf("cluster offer errors = %d, want %d", got, offered)
+	}
+	if got := srv.tel.peerOfferErrors.Value(); got != offered {
+		t.Errorf("chimera_cluster_offer_errors_total = %d, want %d", got, offered)
+	}
+	if h := srv.Health(); h != HealthOK {
+		t.Errorf("health %q after an offer panic", h)
+	}
 }
 
 // TestClusterPeerFill is the sharding acceptance scenario: in a 3-node
@@ -317,7 +359,7 @@ func TestChaosSoakCluster(t *testing.T) {
 	}
 	var rw []rwCase
 	for _, img := range images {
-		for _, m := range Methods {
+		for _, m := range rewriters.Methods() {
 			ref, err := refSrv.Rewrite(context.Background(), &RewriteRequest{Method: m, Target: "rv64gc", Image: img})
 			if err != nil {
 				t.Fatalf("reference %s: %v", m, err)
@@ -415,7 +457,7 @@ func BenchmarkRewriteBatch(b *testing.B) {
 
 	var items []rewriteHTTPRequest
 	for _, img := range images {
-		for _, m := range Methods {
+		for _, m := range rewriters.Methods() {
 			items = append(items, rewriteHTTPRequest{Method: m, Target: "rv64gc", Image: wire(b, img)})
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"github.com/eurosys26p57/chimera/internal/rewriters"
 	"github.com/eurosys26p57/chimera/internal/store"
 )
 
@@ -48,9 +49,9 @@ func cacheStatsFrom(st store.Stats) CacheStats {
 
 // entryMeta is the JSON sidecar stored alongside the image bytes.
 type entryMeta struct {
-	Method string       `json:"method"`
-	Target string       `json:"target"`
-	Stats  RewriteStats `json:"stats"`
+	Method string          `json:"method"`
+	Target string          `json:"target"`
+	Stats  rewriters.Stats `json:"stats"`
 }
 
 // entryFromResult renders a completed rewrite as a store entry.

@@ -204,11 +204,14 @@ func parseHeader(b []byte) (entryHeader, error) {
 	}
 	h.keyLen = int64(binary.LittleEndian.Uint32(b[8:]))
 	h.metaLen = int64(binary.LittleEndian.Uint32(b[12:]))
-	h.dataLen = int64(binary.LittleEndian.Uint64(b[16:]))
+	// Bound dataLen while it is still unsigned: a length with the top bit
+	// set would turn negative as an int64 and slip past the check.
+	dataLen := binary.LittleEndian.Uint64(b[16:])
 	copy(h.sum[:], b[24:])
-	if h.keyLen == 0 || h.keyLen > maxKeyLen || h.metaLen > maxMetaLen || h.dataLen > maxDataLen {
+	if h.keyLen == 0 || h.keyLen > maxKeyLen || h.metaLen > maxMetaLen || dataLen > maxDataLen {
 		return h, fmt.Errorf("%w: implausible lengths key=%d meta=%d data=%d",
-			ErrCorrupt, h.keyLen, h.metaLen, h.dataLen)
+			ErrCorrupt, h.keyLen, h.metaLen, dataLen)
 	}
+	h.dataLen = int64(dataLen)
 	return h, nil
 }

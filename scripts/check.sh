@@ -1,8 +1,9 @@
 #!/bin/sh
-# Pre-PR gate: formatting, vet, build, the full test suite under the race
-# detector, the warm-loop alloc and nil-hook instrumentation overhead
-# gates, the coverage-guided campaign smoke, and short native-fuzz smokes
-# over the differential oracles.
+# Pre-PR gate: formatting, vet, build (this module and the chimerabench
+# benchmark module), the full test suite under the race detector, the
+# warm-loop alloc and nil-hook instrumentation overhead gates, the
+# coverage-guided campaign smoke, and short native-fuzz smokes over the
+# differential oracles and the decoders of untrusted bytes.
 # Run from anywhere; it anchors itself at the repo root.
 set -eu
 cd "$(dirname "$0")/.."
@@ -18,6 +19,8 @@ echo "== go vet ./..."
 go vet ./...
 echo "== go build ./..."
 go build ./...
+echo "== benchmark module (chimerabench is a separate module; vet and compile it against this tree)"
+(cd chimerabench && go vet ./... && go build -o /dev/null .)
 echo "== metrics lint (chimera_[a-z_]+ naming + help text)"
 go test -run 'TestMetricsLint|TestMetricNameValidation' -count=1 ./internal/service ./internal/telemetry
 echo "== go test -race ./..."
@@ -68,4 +71,5 @@ echo "== fuzz smoke (10s per target)"
 go test -run=- -fuzz=FuzzDifferential -fuzztime=10s ./internal/fuzz >/dev/null
 go test -run=- -fuzz=FuzzRewrite -fuzztime=10s ./internal/fuzz >/dev/null
 go test -run=- -fuzz=FuzzObjLoad -fuzztime=10s ./internal/obj >/dev/null
+go test -run=- -fuzz=FuzzDecodeEntry -fuzztime=10s ./internal/store >/dev/null
 echo "== ok"
