@@ -47,10 +47,12 @@ func main() {
 	}
 
 	var ts *resolve.TargetSet
-	res := dis.Disassemble(img)
+	var res *dis.Result
 	if *doResolve {
 		ts = resolve.Resolve(img)
 		res = ts.Dis
+	} else {
+		res = dis.Disassemble(img)
 	}
 
 	// Symbol index for annotation.
@@ -77,11 +79,11 @@ func main() {
 		indirect[a] = true
 	}
 
-	for _, a := range res.Order {
+	for _, x := range res.Order {
+		a, in := x.Addr, x.Inst
 		if name, ok := symAt[a]; ok {
 			fmt.Printf("\n%s:\n", name)
 		}
-		in := res.Insns[a]
 		note := ""
 		if indirect[a] {
 			note = "\t; indirect"
@@ -175,7 +177,8 @@ func writeDot(w *os.File, g *cfg.Graph, symAt map[uint64]string) {
 
 		resolved := make(map[uint64]bool, len(b.ResolvedTargets))
 		for _, t := range b.ResolvedTargets {
-			resolved[g.BlockOf[t]] = true
+			start, _ := g.BlockOf(t)
+			resolved[start] = true
 		}
 		for _, s := range b.Succs {
 			if resolved[s] {

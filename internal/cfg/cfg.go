@@ -6,8 +6,6 @@
 package cfg
 
 import (
-	"sort"
-
 	"github.com/eurosys26p57/chimera/internal/dis"
 	"github.com/eurosys26p57/chimera/internal/resolve"
 	"github.com/eurosys26p57/chimera/internal/riscv"
@@ -46,55 +44,72 @@ func (b *Block) End(d *dis.Result) uint64 {
 // Graph is the control-flow graph of an image.
 type Graph struct {
 	Blocks map[uint64]*Block // keyed by start address
-	// BlockOf maps every instruction address to its block start.
-	BlockOf map[uint64]uint64
-	// Order lists block starts ascending.
+	// Order lists block starts ascending (blocks are cut in address order).
 	Order []uint64
 	Dis   *dis.Result
+	// blockOf holds, per position in Dis.Order, the start of the block
+	// holding that instruction.
+	blockOf []uint64
+}
+
+// BlockOf returns the start of the block holding the instruction at addr.
+func (g *Graph) BlockOf(addr uint64) (uint64, bool) {
+	i, ok := g.Dis.Index(addr)
+	if !ok {
+		return 0, false
+	}
+	return g.blockOf[i], true
 }
 
 // Build constructs the CFG from a disassembly.
 func Build(d *dis.Result) *Graph {
-	leaders := make(map[uint64]bool)
-	for _, addr := range d.Order {
-		in := d.Insns[addr]
+	// leader is indexed by position in d.Order; a leader address outside
+	// recognized code cannot start a block, so only positions matter.
+	leader := make([]bool, len(d.Order))
+	mark := func(a uint64) {
+		if i, ok := d.Index(a); ok {
+			leader[i] = true
+		}
+	}
+	for _, x := range d.Order {
+		addr, in := x.Addr, x.Inst
 		switch {
 		case in.Op == riscv.JAL:
-			leaders[addr+uint64(in.Imm)] = true
-			leaders[addr+uint64(in.Len)] = true
+			mark(addr + uint64(in.Imm))
+			mark(addr + uint64(in.Len))
 		case in.IsBranch():
-			leaders[addr+uint64(in.Imm)] = true
-			leaders[addr+uint64(in.Len)] = true
+			mark(addr + uint64(in.Imm))
+			mark(addr + uint64(in.Len))
 		case in.Op == riscv.JALR:
-			leaders[addr+uint64(in.Len)] = true
+			mark(addr + uint64(in.Len))
 		}
 	}
 	if len(d.Order) > 0 {
-		leaders[d.Order[0]] = true
+		leader[0] = true
 	}
 	for _, root := range d.Roots {
-		leaders[root] = true
+		mark(root)
 	}
 
 	g := &Graph{
 		Blocks:  make(map[uint64]*Block),
-		BlockOf: make(map[uint64]uint64),
 		Dis:     d,
+		blockOf: make([]uint64, len(d.Order)),
 	}
 
 	var cur *Block
-	for i, addr := range d.Order {
+	for i, x := range d.Order {
+		addr, in := x.Addr, x.Inst
 		// A gap in recognized addresses also starts a new block.
-		gap := i > 0 && d.Order[i-1]+uint64(d.Insns[d.Order[i-1]].Len) != addr
-		if cur == nil || leaders[addr] || gap {
+		gap := i > 0 && d.Order[i-1].End() != addr
+		if cur == nil || leader[i] || gap {
 			cur = &Block{Start: addr}
 			g.Blocks[addr] = cur
 			g.Order = append(g.Order, addr)
 		}
 		cur.Addrs = append(cur.Addrs, addr)
-		g.BlockOf[addr] = cur.Start
+		g.blockOf[i] = cur.Start
 
-		in := d.Insns[addr]
 		endsBlock := false
 		switch {
 		case in.Op == riscv.JAL:
@@ -120,7 +135,7 @@ func Build(d *dis.Result) *Graph {
 		default:
 			// Fallthrough into a leader ends the block with one successor.
 			next := addr + uint64(in.Len)
-			if leaders[next] {
+			if j, ok := d.Index(next); ok && leader[j] {
 				cur.Succs = append(cur.Succs, next)
 				endsBlock = true
 			}
@@ -136,13 +151,12 @@ func Build(d *dis.Result) *Graph {
 		for _, s := range b.Succs {
 			if _, ok := g.Blocks[s]; ok {
 				kept = append(kept, s)
-			} else if _, ok := g.BlockOf[s]; ok {
-				kept = append(kept, g.BlockOf[s])
+			} else if start, ok := g.BlockOf(s); ok {
+				kept = append(kept, start)
 			}
 		}
 		b.Succs = kept
 	}
-	sort.Slice(g.Order, func(i, j int) bool { return g.Order[i] < g.Order[j] })
 	return g
 }
 
@@ -170,7 +184,7 @@ func BuildResolved(d *dis.Result, ts *resolve.TargetSet) *Graph {
 			have[s] = true
 		}
 		for _, tgt := range site.HighTargets() {
-			start, ok := g.BlockOf[tgt]
+			start, ok := g.BlockOf(tgt)
 			if !ok {
 				continue
 			}
@@ -186,7 +200,7 @@ func BuildResolved(d *dis.Result, ts *resolve.TargetSet) *Graph {
 
 // BlockContaining returns the block holding the instruction at addr.
 func (g *Graph) BlockContaining(addr uint64) (*Block, bool) {
-	start, ok := g.BlockOf[addr]
+	start, ok := g.BlockOf(addr)
 	if !ok {
 		return nil, false
 	}

@@ -82,7 +82,12 @@ func TestCallSiteBlocks(t *testing.T) {
 
 func TestBlockOfAndPreds(t *testing.T) {
 	g, labels := buildGraph(t)
-	for addr, start := range g.BlockOf {
+	for _, in := range g.Dis.Order {
+		addr := in.Addr
+		start, ok := g.BlockOf(addr)
+		if !ok {
+			t.Fatalf("BlockOf[%#x] missing for a recognized instruction", addr)
+		}
 		b := g.Blocks[start]
 		found := false
 		for _, a := range b.Addrs {

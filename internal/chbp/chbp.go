@@ -138,15 +138,17 @@ func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, erro
 	if opts.MaxBatchGap == 0 {
 		opts.MaxBatchGap = 10
 	}
-	d := dis.Disassemble(img)
 	stats := Stats{CodeSize: img.CodeSize()}
+	var d *dis.Result
 	var g *cfg.Graph
 	var recovered map[uint64]bool
 	if ts != nil {
+		// The resolver decoded the image already: its first iteration is
+		// the plain disassembly, and ts.Dis extends it.
 		recovered = make(map[uint64]bool)
-		for a := range ts.Dis.Insns {
-			if _, ok := d.Insns[a]; !ok {
-				recovered[a] = true
+		for _, in := range ts.Dis.Order {
+			if _, ok := ts.Plain.Index(in.Addr); !ok {
+				recovered[in.Addr] = true
 			}
 		}
 		d = ts.Dis
@@ -156,6 +158,7 @@ func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, erro
 		stats.RecoveredInsts = len(recovered)
 		g = cfg.BuildResolved(d, ts)
 	} else {
+		d = dis.Disassemble(img)
 		g = cfg.Build(d)
 	}
 	la := liveness.Analyze(g)
@@ -173,9 +176,9 @@ func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, erro
 	sew := resolveSEW(d)
 
 	var sourceAddrs []uint64
-	for _, a := range d.Order {
-		if isSource(d.Insns[a]) {
-			sourceAddrs = append(sourceAddrs, a)
+	for _, in := range d.Order {
+		if isSource(in.Inst) {
+			sourceAddrs = append(sourceAddrs, in.Addr)
 		}
 	}
 	stats.SourceInsts = len(sourceAddrs)
@@ -195,8 +198,7 @@ func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, erro
 				continue // overlaps downgrade work; let downgrading win
 			}
 			uc := u
-			last := u.Addrs[len(u.Addrs)-1]
-			end := last + uint64(d.Insns[last].Len)
+			end := instEnd(d, u.Addrs[len(u.Addrs)-1])
 			seeds = append(seeds, siteSeed{start: u.Addrs[0], regionEnd: end, upgrade: &uc})
 			for _, a := range u.Addrs {
 				upgradeTaken[a] = true
@@ -225,8 +227,7 @@ func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, erro
 				continue
 			}
 			uc := u
-			last := u.Addrs[len(u.Addrs)-1]
-			end := last + uint64(d.Insns[last].Len)
+			end := instEnd(d, u.Addrs[len(u.Addrs)-1])
 			seeds = append(seeds, siteSeed{start: u.Addrs[0], regionEnd: end, upgrade: &uc})
 			for _, a := range u.Addrs {
 				upgradeTaken[a] = true
@@ -260,14 +261,6 @@ func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, erro
 	targetBase := obj.AlignUp(vregAddr+translate.VRegFileSize, obj.PageSize)
 	ctx := &translate.Context{VRegBase: vregAddr}
 
-	var orderIdx map[uint64]int
-	if opts.Trampoline == GeneralReg {
-		orderIdx = make(map[uint64]int, len(d.Order))
-		for i, a := range d.Order {
-			orderIdx[a] = i
-		}
-	}
-
 	var sites []*patchSite
 	covered := uint64(0)
 	for _, seed := range seeds {
@@ -285,17 +278,17 @@ func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, erro
 			// runtime-rewrite faults the pre-built row avoids.
 			site.trapOnly = true
 			site.resolved = true
-			site.spaceEnd = seed.start + uint64(d.Insns[seed.start].Len)
+			site.spaceEnd = instEnd(d, seed.start)
 		case opts.Trampoline == TrapEntry:
 			site.trapOnly = true
-			site.spaceEnd = seed.start + uint64(d.Insns[seed.start].Len)
+			site.spaceEnd = instEnd(d, seed.start)
 		case opts.Trampoline == GeneralReg:
 			// Fig. 5: overwrite a preceding lui+memory pair, jumping through
 			// the register that holds the data address.
-			luiAddr, reg, ok := findMemPair(d, orderIdx, seed.start, covered)
+			luiAddr, reg, ok := findMemPair(d, seed.start, covered)
 			if !ok {
 				site.trapOnly = true
-				site.spaceEnd = seed.start + uint64(d.Insns[seed.start].Len)
+				site.spaceEnd = instEnd(d, seed.start)
 				break
 			}
 			site.start = luiAddr
@@ -305,7 +298,7 @@ func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, erro
 			spaceEnd, ok := scanSpace(d, seed.start)
 			if !ok {
 				site.trapOnly = true
-				site.spaceEnd = seed.start + uint64(d.Insns[seed.start].Len)
+				site.spaceEnd = instEnd(d, seed.start)
 				break
 			}
 			site.spaceEnd = spaceEnd
@@ -318,11 +311,10 @@ func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, erro
 		if err != nil {
 			// Fall back to the smallest viable trap site.
 			site.trapOnly = true
-			site.spaceEnd = seed.start + uint64(d.Insns[seed.start].Len)
+			site.spaceEnd = instEnd(d, seed.start)
 			site.regionEnd = site.spaceEnd
 			if seed.upgrade != nil {
-				last := seed.upgrade.Addrs[len(seed.upgrade.Addrs)-1]
-				site.regionEnd = last + uint64(d.Insns[last].Len)
+				site.regionEnd = instEnd(d, seed.upgrade.Addrs[len(seed.upgrade.Addrs)-1])
 			}
 			region, err = collectRegion(d, site.start, site.regionEnd, isSource, sew, upgradeTaken)
 			if err != nil {
@@ -337,7 +329,7 @@ func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, erro
 	// ---- Build target blocks ----------------------------------------------
 	env := &exitEnv{
 		la:   la,
-		next: func(a uint64) (riscv.Inst, bool) { return d.At(a) },
+		next: d.At,
 		isSource: func(a uint64) bool {
 			in, ok := d.At(a)
 			return ok && isSource(in)
@@ -435,7 +427,8 @@ func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, erro
 		switch {
 		case site.trapOnly:
 			stats.TrapEntries++
-			if err := writeTrap(rw, site.start, d.Insns[site.start].Len); err != nil {
+			in, _ := d.At(site.start)
+			if err := writeTrap(rw, site.start, in.Len); err != nil {
 				return nil, err
 			}
 			tables.Trap[site.start] = T
@@ -518,17 +511,22 @@ func rewrite(img *obj.Image, opts Options, ts *resolve.TargetSet) (*Result, erro
 // resolveSEW assigns the element width in effect at each instruction by a
 // linear sweep tracking the most recent vsetvli — the static vector
 // configuration compilers emit per block makes this exact in practice.
-func resolveSEW(d *dis.Result) map[uint64]riscv.SEW {
-	out := make(map[uint64]riscv.SEW)
+func resolveSEW(d *dis.Result) []riscv.SEW {
+	out := make([]riscv.SEW, len(d.Order))
 	cur := riscv.E64
-	for _, a := range d.Order {
-		in := d.Insns[a]
-		if in.Op == riscv.VSETVLI {
-			cur = riscv.SEWOf(in.Imm)
+	for i, in := range d.Order {
+		if in.Inst.Op == riscv.VSETVLI {
+			cur = riscv.SEWOf(in.Inst.Imm)
 		}
-		out[a] = cur
+		out[i] = cur
 	}
 	return out
+}
+
+// instEnd returns the address one past the recognized instruction at a.
+func instEnd(d *dis.Result, a uint64) uint64 {
+	in, _ := d.At(a)
+	return a + uint64(in.Len)
 }
 
 func replacementFits(repl []riscv.Inst, isa riscv.Ext) bool {
@@ -560,19 +558,18 @@ func anyIsSource(d *dis.Result, addrs []uint64, isSource func(riscv.Inst) bool) 
 // the region its site should cover.
 func computeBatches(d *dis.Result, sources []uint64, opts Options) map[uint64]uint64 {
 	end := make(map[uint64]uint64, len(sources))
-	selfEnd := func(a uint64) uint64 { return a + uint64(d.Insns[a].Len) }
 	for _, a := range sources {
-		end[a] = selfEnd(a)
+		end[a] = instEnd(d, a)
 	}
 	if opts.DisableBatching {
 		return end
 	}
 	for i := 0; i < len(sources); {
 		j := i
-		for j+1 < len(sources) && gapRelocatable(d, selfEnd(sources[j]), sources[j+1], opts.MaxBatchGap) {
+		for j+1 < len(sources) && gapRelocatable(d, instEnd(d, sources[j]), sources[j+1], opts.MaxBatchGap) {
 			j++
 		}
-		batchEnd := selfEnd(sources[j])
+		batchEnd := instEnd(d, sources[j])
 		// Tail extension: copy the run up to (and including) the next
 		// control-flow instruction.
 		a, n := batchEnd, 0
@@ -624,19 +621,17 @@ func gapRelocatable(d *dis.Result, from, to uint64, max int) bool {
 // above floor) for an adjacent "lui rX, imm ; load/store rY, off(rX)" pair
 // of 4-byte instructions whose following run up to addr is relocatable —
 // the Fig. 5 overwrite site.
-func findMemPair(d *dis.Result, orderIdx map[uint64]int, addr, floor uint64) (uint64, riscv.Reg, bool) {
-	idx, ok := orderIdx[addr]
+func findMemPair(d *dis.Result, addr, floor uint64) (uint64, riscv.Reg, bool) {
+	idx, ok := d.Index(addr)
 	if !ok {
 		return 0, 0, false
 	}
 	for back := 1; back <= 12 && idx-back-1 >= 0; back++ {
-		loadAt := d.Order[idx-back]
-		luiAt := d.Order[idx-back-1]
+		loadAt, mem := d.Order[idx-back].Addr, d.Order[idx-back].Inst
+		luiAt, lui := d.Order[idx-back-1].Addr, d.Order[idx-back-1].Inst
 		if luiAt < floor {
 			return 0, 0, false
 		}
-		lui := d.Insns[luiAt]
-		mem := d.Insns[loadAt]
 		if lui.Op != riscv.LUI || lui.Len != 4 || mem.Len != 4 || luiAt+4 != loadAt {
 			continue
 		}
@@ -683,15 +678,16 @@ func scanSpace(d *dis.Result, start uint64) (uint64, bool) {
 
 // collectRegion gathers the original instructions in [start, end).
 func collectRegion(d *dis.Result, start, end uint64,
-	isSource func(riscv.Inst) bool, sew map[uint64]riscv.SEW,
+	isSource func(riscv.Inst) bool, sew []riscv.SEW,
 	upgradeTaken map[uint64]bool) ([]regionItem, error) {
 
 	var out []regionItem
 	for a := start; a < end; {
-		in, ok := d.At(a)
+		i, ok := d.Index(a)
 		if !ok {
 			return nil, fmt.Errorf("unrecognized instruction at %#x", a)
 		}
+		in := d.Order[i].Inst
 		src := isSource(in) && !upgradeTaken[a]
 		if !src && !upgradeTaken[a] {
 			// Idiom-covered instructions are replaced wholesale; only plain
@@ -702,7 +698,7 @@ func collectRegion(d *dis.Result, start, end uint64,
 				return nil, fmt.Errorf("control flow mid-region at %#x", a)
 			}
 		}
-		out = append(out, regionItem{addr: a, inst: in, isSource: src, sew: sew[a]})
+		out = append(out, regionItem{addr: a, inst: in, isSource: src, sew: sew[i]})
 		a += uint64(in.Len)
 	}
 	if len(out) == 0 {

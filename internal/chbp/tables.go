@@ -7,10 +7,9 @@
 package chbp
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/eurosys26p57/chimera/internal/obj"
 )
@@ -67,90 +66,83 @@ func (t *Tables) InTargetSection(addr uint64) bool {
 	return addr >= t.TargetStart && addr < t.TargetEnd
 }
 
-func writeMap(buf *bytes.Buffer, m map[uint64]uint64) {
-	binary.Write(buf, binary.LittleEndian, uint64(len(m)))
-	// Sorted keys: Go map iteration order is randomized, and Marshal's
-	// output is embedded in the image, whose bytes are a content address
-	// for the rewrite cache — serialization must be deterministic.
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		binary.Write(buf, binary.LittleEndian, k)
-		binary.Write(buf, binary.LittleEndian, m[k])
-	}
+// tableMaps lists the maps in their serialized order.
+func (t *Tables) tableMaps() []*map[uint64]uint64 {
+	return []*map[uint64]uint64{&t.Redirect, &t.Trap, &t.ExitTrap, &t.ExitOf, &t.Spaces, &t.Resolved}
 }
 
-func readMap(r *bytes.Reader) (map[uint64]uint64, error) {
-	var n uint64
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	if n > 1<<28 {
-		return nil, fmt.Errorf("chbp: unreasonable table size %d", n)
-	}
-	m := make(map[uint64]uint64, n)
-	for i := uint64(0); i < n; i++ {
-		var k, v uint64
-		if err := binary.Read(r, binary.LittleEndian, &k); err != nil {
-			return nil, err
-		}
-		if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-			return nil, err
-		}
-		m[k] = v
-	}
-	return m, nil
-}
-
-// Marshal serializes the tables for embedding in SecFaultTab.
+// Marshal serializes the tables for embedding in SecFaultTab: GP,
+// TargetStart and TargetEnd, then each map as a count and its key/value
+// pairs in ascending key order, every word little-endian. Sorted keys keep
+// the bytes deterministic — Go map iteration order is randomized, and the
+// output is embedded in the image, whose bytes are a content address for
+// the rewrite cache.
 func (t *Tables) Marshal() []byte {
-	var buf bytes.Buffer
-	binary.Write(&buf, binary.LittleEndian, t.GP)
-	binary.Write(&buf, binary.LittleEndian, t.TargetStart)
-	binary.Write(&buf, binary.LittleEndian, t.TargetEnd)
-	writeMap(&buf, t.Redirect)
-	writeMap(&buf, t.Trap)
-	writeMap(&buf, t.ExitTrap)
-	writeMap(&buf, t.ExitOf)
-	writeMap(&buf, t.Spaces)
-	writeMap(&buf, t.Resolved)
-	return buf.Bytes()
+	maps := t.tableMaps()
+	words, longest := 3, 0
+	for _, m := range maps {
+		words += 1 + 2*len(*m)
+		longest = max(longest, len(*m))
+	}
+	le := binary.LittleEndian
+	buf := make([]byte, 0, 8*words)
+	buf = le.AppendUint64(buf, t.GP)
+	buf = le.AppendUint64(buf, t.TargetStart)
+	buf = le.AppendUint64(buf, t.TargetEnd)
+	keys := make([]uint64, 0, longest)
+	for _, m := range maps {
+		keys = keys[:0]
+		for k := range *m {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		buf = le.AppendUint64(buf, uint64(len(keys)))
+		for _, k := range keys {
+			buf = le.AppendUint64(buf, k)
+			buf = le.AppendUint64(buf, (*m)[k])
+		}
+	}
+	return buf
 }
 
-// UnmarshalTables parses a SecFaultTab payload.
+// maxTableEntries bounds one map's declared entry count.
+const maxTableEntries = 1 << 28
+
+// UnmarshalTables parses a SecFaultTab payload. The payload comes from the
+// image, which on /run is untrusted: a truncated payload is an error, and
+// a declared count never sizes an allocation past the bytes that remain.
 func UnmarshalTables(data []byte) (*Tables, error) {
-	r := bytes.NewReader(data)
-	t := &Tables{}
-	if err := binary.Read(r, binary.LittleEndian, &t.GP); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &t.TargetStart); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &t.TargetEnd); err != nil {
-		return nil, err
-	}
 	var err error
-	if t.Redirect, err = readMap(r); err != nil {
-		return nil, err
+	word := func() uint64 {
+		if err != nil {
+			return 0
+		}
+		if len(data) < 8 {
+			err = fmt.Errorf("chbp: truncated tables: %d trailing bytes", len(data))
+			return 0
+		}
+		w := binary.LittleEndian.Uint64(data)
+		data = data[8:]
+		return w
 	}
-	if t.Trap, err = readMap(r); err != nil {
-		return nil, err
-	}
-	if t.ExitTrap, err = readMap(r); err != nil {
-		return nil, err
-	}
-	if t.ExitOf, err = readMap(r); err != nil {
-		return nil, err
-	}
-	if t.Spaces, err = readMap(r); err != nil {
-		return nil, err
-	}
-	if t.Resolved, err = readMap(r); err != nil {
-		return nil, err
+	t := &Tables{}
+	t.GP, t.TargetStart, t.TargetEnd = word(), word(), word()
+	for _, m := range t.tableMaps() {
+		n := word()
+		if err != nil {
+			return nil, err
+		}
+		if n > maxTableEntries {
+			return nil, fmt.Errorf("chbp: unreasonable table size %d", n)
+		}
+		if n > uint64(len(data)/16) {
+			return nil, fmt.Errorf("chbp: truncated tables: %d entries declared, %d bytes left", n, len(data))
+		}
+		*m = make(map[uint64]uint64, n)
+		for i := uint64(0); i < n; i++ {
+			k := word()
+			(*m)[k] = word()
+		}
 	}
 	return t, nil
 }

@@ -36,8 +36,8 @@ func TestDisassembleCoversReachableCode(t *testing.T) {
 		if _, ok := res.At(entry); !ok {
 			t.Fatal("entry not recognized")
 		}
-		if len(res.Insns) < 8 {
-			t.Errorf("compress=%v: recognized only %d instructions", compress, len(res.Insns))
+		if len(res.Order) < 8 {
+			t.Errorf("compress=%v: recognized only %d instructions", compress, len(res.Order))
 		}
 		// Two indirect transfers: the auipc/jalr call pair and leaf's ret.
 		if len(res.IndirectJumps) != 2 {
@@ -49,8 +49,8 @@ func TestDisassembleCoversReachableCode(t *testing.T) {
 		// Addresses must be strictly increasing with no overlaps.
 		for i := 1; i < len(res.Order); i++ {
 			prev := res.Order[i-1]
-			if prev+uint64(res.Insns[prev].Len) > res.Order[i] {
-				t.Fatalf("overlapping instructions at %#x/%#x", prev, res.Order[i])
+			if prev.End() > res.Order[i].Addr {
+				t.Fatalf("overlapping instructions at %#x/%#x", prev.Addr, res.Order[i].Addr)
 			}
 		}
 	}
@@ -75,8 +75,8 @@ func TestDisassembleStopsAtIndirectTargets(t *testing.T) {
 	_ = hidden
 	// "hidden" is a label, not a function symbol, so it is not a root.
 	var sawEcall bool
-	for _, in := range res.Insns {
-		if in.Op == riscv.ECALL {
+	for _, in := range res.Order {
+		if in.Inst.Op == riscv.ECALL {
 			sawEcall = true
 		}
 	}

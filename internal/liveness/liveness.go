@@ -139,7 +139,7 @@ func Analyze(g *cfg.Graph) *Analysis {
 	transfer := func(b *cfg.Block, out RegSet) RegSet {
 		live := out
 		for i := len(b.Addrs) - 1; i >= 0; i-- {
-			in := g.Dis.Insns[b.Addrs[i]]
+			in, _ := g.Dis.At(b.Addrs[i])
 			use, def := UseDef(in)
 			if isCall(in) {
 				// A call conservatively uses its argument registers and the
@@ -223,7 +223,7 @@ func (a *Analysis) LiveAfter(addr uint64) RegSet {
 		if b.Addrs[i] == addr {
 			return live
 		}
-		in := a.g.Dis.Insns[b.Addrs[i]]
+		in, _ := a.g.Dis.At(b.Addrs[i])
 		use, def := UseDef(in)
 		if isCall(in) {
 			use = argRegs | calleeSaved
@@ -241,7 +241,7 @@ func (a *Analysis) LiveBefore(addr uint64) RegSet {
 		return AllRegs
 	}
 	live := a.LiveAfter(addr)
-	in := a.g.Dis.Insns[addr]
+	in, _ := a.g.Dis.At(addr)
 	use, def := UseDef(in)
 	if isCall(in) {
 		use = argRegs | calleeSaved

@@ -1,7 +1,6 @@
 package obj
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -57,17 +56,6 @@ func readBlob(r io.Reader, size uint64) ([]byte, error) {
 	return buf, nil
 }
 
-func writeString(w io.Writer, s string) error {
-	if len(s) > 0xFFFF {
-		return fmt.Errorf("obj: string too long (%d bytes)", len(s))
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint16(len(s))); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
-}
-
 func readString(r io.Reader) (string, error) {
 	var n uint16
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
@@ -80,37 +68,87 @@ func readString(r io.Reader) (string, error) {
 	return string(b), nil
 }
 
-// WriteTo serializes the image.
+// encode emits the image's wire form, in order, as a sequence of byte
+// slices emit must not retain: header fields through a scratch buffer,
+// section contents as they are. It fails before emitting anything when a
+// name does not fit its u16 length prefix.
+func (img *Image) encode(emit func([]byte)) error {
+	if err := img.checkNames(); err != nil {
+		return err
+	}
+	le := binary.LittleEndian
+	appendString := func(b []byte, s string) []byte {
+		return append(le.AppendUint16(b, uint16(len(s))), s...)
+	}
+	b := make([]byte, 0, 64)
+	b = le.AppendUint16(append(b, fileMagic...), fileVersion)
+	b = appendString(b, img.Name)
+	b = le.AppendUint64(b, img.Entry)
+	b = le.AppendUint64(b, img.GP)
+	b = le.AppendUint32(b, uint32(img.ISA))
+	b = le.AppendUint32(b, uint32(len(img.Sections)))
+	for _, s := range img.Sections {
+		b = appendString(b, s.Name)
+		b = le.AppendUint64(b, s.Addr)
+		b = append(b, uint8(s.Perm))
+		b = le.AppendUint64(b, uint64(len(s.Data)))
+		emit(b)
+		emit(s.Data)
+		b = b[:0]
+	}
+	b = le.AppendUint32(b, uint32(len(img.Symbols)))
+	for _, sym := range img.Symbols {
+		b = appendString(b, sym.Name)
+		b = le.AppendUint64(b, sym.Addr)
+		b = le.AppendUint64(b, sym.Size)
+		b = append(b, uint8(sym.Kind))
+	}
+	emit(b)
+	return nil
+}
+
+// checkNames fails on the first name, in wire order, that does not fit a
+// u16 length prefix.
+func (img *Image) checkNames() error {
+	long := func(s string) error {
+		if len(s) > 0xFFFF {
+			return fmt.Errorf("obj: string too long (%d bytes)", len(s))
+		}
+		return nil
+	}
+	err := long(img.Name)
+	for _, s := range img.Sections {
+		if err == nil {
+			err = long(s.Name)
+		}
+	}
+	for _, sym := range img.Symbols {
+		if err == nil {
+			err = long(sym.Name)
+		}
+	}
+	return err
+}
+
+// MarshalBinary returns the image's wire form in one buffer of exactly its
+// size.
+func (img *Image) MarshalBinary() ([]byte, error) {
+	n := 0
+	if err := img.encode(func(p []byte) { n += len(p) }); err != nil {
+		return nil, err
+	}
+	buf := make([]byte, 0, n)
+	_ = img.encode(func(p []byte) { buf = append(buf, p...) }) // names checked by the sizing pass
+	return buf, nil
+}
+
+// WriteTo serializes the image in one write.
 func (img *Image) WriteTo(w io.Writer) (int64, error) {
-	var buf bytes.Buffer
-	buf.WriteString(fileMagic)
-	binary.Write(&buf, binary.LittleEndian, uint16(fileVersion))
-	if err := writeString(&buf, img.Name); err != nil {
+	buf, err := img.MarshalBinary()
+	if err != nil {
 		return 0, err
 	}
-	binary.Write(&buf, binary.LittleEndian, img.Entry)
-	binary.Write(&buf, binary.LittleEndian, img.GP)
-	binary.Write(&buf, binary.LittleEndian, uint32(img.ISA))
-	binary.Write(&buf, binary.LittleEndian, uint32(len(img.Sections)))
-	for _, s := range img.Sections {
-		if err := writeString(&buf, s.Name); err != nil {
-			return 0, err
-		}
-		binary.Write(&buf, binary.LittleEndian, s.Addr)
-		binary.Write(&buf, binary.LittleEndian, uint8(s.Perm))
-		binary.Write(&buf, binary.LittleEndian, uint64(len(s.Data)))
-		buf.Write(s.Data)
-	}
-	binary.Write(&buf, binary.LittleEndian, uint32(len(img.Symbols)))
-	for _, sym := range img.Symbols {
-		if err := writeString(&buf, sym.Name); err != nil {
-			return 0, err
-		}
-		binary.Write(&buf, binary.LittleEndian, sym.Addr)
-		binary.Write(&buf, binary.LittleEndian, sym.Size)
-		binary.Write(&buf, binary.LittleEndian, uint8(sym.Kind))
-	}
-	n, err := w.Write(buf.Bytes())
+	n, err := w.Write(buf)
 	return int64(n), err
 }
 

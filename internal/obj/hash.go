@@ -9,14 +9,15 @@ import (
 // form. Two images hash equal iff their wire forms are byte-identical, so
 // the digest is a content address: the rewrite service keys its cache on it
 // (§4.2 amortizes rewrite cost by reusing one rewrite across every process
-// that runs the binary).
+// that runs the binary). The wire form streams straight into the hash; it
+// is never materialized.
 func (img *Image) SHA256() ([sha256.Size]byte, error) {
-	h := sha256.New()
-	if _, err := img.WriteTo(h); err != nil {
-		return [sha256.Size]byte{}, err
-	}
 	var out [sha256.Size]byte
-	copy(out[:], h.Sum(nil))
+	h := sha256.New()
+	if err := img.encode(func(p []byte) { h.Write(p) }); err != nil {
+		return out, err
+	}
+	h.Sum(out[:0])
 	return out, nil
 }
 

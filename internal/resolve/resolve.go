@@ -125,6 +125,10 @@ type TargetSet struct {
 	// Dis is the completed disassembly of the final fixpoint iteration:
 	// recursive descent seeded with every High-confidence target.
 	Dis *dis.Result
+	// Plain is the first iteration's disassembly, exactly
+	// dis.Disassemble(img). Rewriters take it as the plain recursive
+	// descent instead of decoding the image again.
+	Plain *dis.Result
 	// Iters is the number of macro fixpoint iterations that ran.
 	Iters int
 	// FactCounts tallies the relational facts extracted on the final
@@ -219,28 +223,30 @@ const maxFixpointIters = 8
 // fixpoint. Every High-confidence target recovered on one iteration
 // seeds the recursive disassembler on the next, so dispatch arms hidden
 // behind jump tables — and any nested dispatch inside them — are
-// analyzed too. The loop stops when an iteration learns no new root.
+// analyzed too. The image is decoded once: each later iteration extends
+// the previous disassembly from its new roots only. The loop stops when
+// an iteration learns no new root.
 func Resolve(img *obj.Image) *TargetSet {
 	ptrs := scanCodePointers(img)
 	known := make(map[uint64]bool)
-	var extra []uint64
+	plain := dis.Disassemble(img)
+	d := plain
 	var ts *TargetSet
 	for iter := 1; iter <= maxFixpointIters; iter++ {
-		d := dis.DisassembleWithRoots(img, extra)
 		ts = analyze(img, d, ptrs)
-		ts.Dis = d
+		ts.Dis, ts.Plain = d, plain
 		ts.Iters = iter
-		added := false
+		var fresh []uint64
 		for _, r := range ts.Roots() {
 			if !known[r] {
 				known[r] = true
-				extra = append(extra, r)
-				added = true
+				fresh = append(fresh, r)
 			}
 		}
-		if !added {
+		if len(fresh) == 0 || iter == maxFixpointIters {
 			break
 		}
+		d = d.Extend(fresh)
 	}
 	return ts
 }

@@ -95,8 +95,8 @@ func (it *interp) indexFlow() {
 	for _, r := range it.d.Roots {
 		roots[r] = true
 	}
-	for _, pc := range it.d.Order {
-		in := it.d.Insns[pc]
+	for _, x := range it.d.Order {
+		pc, in := x.Addr, x.Inst
 		switch {
 		case in.Op == riscv.JAL:
 			it.jumpCount[pc+uint64(in.Imm)]++
@@ -107,8 +107,8 @@ func (it *interp) indexFlow() {
 	// Second pass: a bltu bound is forwardable only when its target has
 	// exactly one statically-visible in-edge (the bltu itself) and is not
 	// a root (roots can be entered indirectly).
-	for _, pc := range it.d.Order {
-		in := it.d.Insns[pc]
+	for _, x := range it.d.Order {
+		pc, in := x.Addr, x.Inst
 		if in.Op != riscv.BLTU {
 			continue
 		}
@@ -165,8 +165,8 @@ func sext32(v uint64) uint64 { return uint64(int64(int32(uint32(v)))) }
 func (it *interp) run() {
 	prevEnd := uint64(0)
 	cont := false // previous instruction falls through into this one
-	for _, pc := range it.d.Order {
-		in := it.d.Insns[pc]
+	for _, x := range it.d.Order {
+		pc, in := x.Addr, x.Inst
 		if !cont || pc != prevEnd {
 			it.clear()
 			if fwd, ok := it.bltuBound[pc]; ok && fwd.reg != riscv.Zero && fwd.bound > 0 {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/eurosys26p57/chimera/internal/chbp"
-	"github.com/eurosys26p57/chimera/internal/dis"
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/resolve"
 	"github.com/eurosys26p57/chimera/internal/riscv"
@@ -28,13 +27,8 @@ import (
 // as ErrRewriteReject.
 func ARMoreWith(img *obj.Image, targetISA riscv.Ext, emptyPatch bool, ts *resolve.TargetSet) (out *Rewritten, err error) {
 	defer reject("armore", &out, &err)
-	d := dis.Disassemble(img)
-	recovered := 0
+	d, recovered := decoded(img, ts)
 	resolved := resolvedTargets(ts)
-	if ts != nil && ts.Dis != nil {
-		recovered = len(ts.Dis.Insns) - len(d.Insns)
-		d = ts.Dis
-	}
 	vregAddr, newBase := newLayout(img)
 	rel, err := relocateAll(d, relocOptions{
 		targetISA:  targetISA,
@@ -53,8 +47,8 @@ func ARMoreWith(img *obj.Image, targetISA riscv.Ext, emptyPatch bool, ts *resolv
 		RecoveredInsts: recovered, ResolvedTargets: len(resolved)}
 
 	// Fill the original text with single-instruction trampolines.
-	for _, a := range d.Order {
-		in := d.Insns[a]
+	for _, x := range d.Order {
+		a, in := x.Addr, x.Inst
 		newAddr := rel.addrMap[a]
 		stats.Trampolines++
 		delta := int64(newAddr) - int64(a)

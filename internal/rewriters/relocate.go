@@ -79,20 +79,23 @@ func relocateAll(d *dis.Result, o relocOptions) (*relocation, error) {
 	}
 	sew := riscv.E64
 	// Pass 1: per-instruction translations and emitted sizes.
-	sizes := make(map[uint64]int, len(d.Order))
-	bodies := make(map[uint64][]riscv.Inst, len(d.Order))
-	for _, a := range d.Order {
-		in := d.Insns[a]
+	// Indexed by position in d.Order: the emitted size, and the body to
+	// emit verbatim when the instruction has one (an upgrade or a
+	// translation).
+	sizes := make([]int, len(d.Order))
+	bodies := make([][]riscv.Inst, len(d.Order))
+	hasBody := make([]bool, len(d.Order))
+	for i, x := range d.Order {
+		a, in := x.Addr, x.Inst
 		if in.Op == riscv.VSETVLI {
 			sew = riscv.SEWOf(in.Imm)
 		}
 		if body, ok := upgradeBody[a]; ok {
-			bodies[a] = body
-			sizes[a] = 4 * len(body)
+			bodies[i], hasBody[i] = body, true
+			sizes[i] = 4 * len(body)
 			continue
 		}
 		if _, ok := upgradeTail[a]; ok {
-			sizes[a] = 0
 			continue
 		}
 		switch {
@@ -100,32 +103,34 @@ func relocateAll(d *dis.Result, o relocOptions) (*relocation, error) {
 			if o.emptyPatch {
 				cp := in
 				cp.Len = 4
-				bodies[a] = []riscv.Inst{cp}
-				sizes[a] = 4
+				bodies[i], hasBody[i] = []riscv.Inst{cp}, true
+				sizes[i] = 4
 				continue
 			}
 			seq, err := translate.Downgrade(in, sew, o.ctx)
 			if err != nil {
 				return nil, fmt.Errorf("rewriters: translate %s at %#x: %w", in, a, err)
 			}
-			bodies[a] = seq
-			sizes[a] = 4 * len(seq)
+			bodies[i], hasBody[i] = seq, true
+			sizes[i] = 4 * len(seq)
 		case in.IsBranch():
-			sizes[a] = 8 // inverted branch + jal (or ebreak)
+			sizes[i] = 8 // inverted branch + jal (or ebreak)
 		case in.Op == riscv.JAL:
-			sizes[a] = 8 // jal+pad, auipc/jalr pair, or ebreak+pad
+			sizes[i] = 8 // jal+pad, auipc/jalr pair, or ebreak+pad
 		case in.Op == riscv.AUIPC:
-			sizes[a] = 8 // lui+addiw materialization of the original value
+			sizes[i] = 8 // lui+addiw materialization of the original value
 		default:
-			sizes[a] = 4
+			sizes[i] = 4
 		}
 	}
 	// Assign new addresses.
 	addrMap := make(map[uint64]uint64, len(d.Order))
+	newAddr := make([]uint64, len(d.Order))
 	cursor := o.newBase
-	for _, a := range d.Order {
-		addrMap[a] = cursor
-		cursor += uint64(sizes[a])
+	for i, x := range d.Order {
+		addrMap[x.Addr] = cursor
+		newAddr[i] = cursor
+		cursor += uint64(sizes[i])
 	}
 	for a, head := range upgradeTail {
 		addrMap[a] = addrMap[head]
@@ -148,16 +153,16 @@ func relocateAll(d *dis.Result, o relocOptions) (*relocation, error) {
 	nop := riscv.Inst{Op: riscv.ADDI}
 
 	// Pass 2: emit.
-	for _, a := range d.Order {
+	for i, x := range d.Order {
+		a, in := x.Addr, x.Inst
 		if _, consumed := upgradeTail[a]; consumed {
 			continue
 		}
-		in := d.Insns[a]
-		newPC := addrMap[a]
+		newPC := newAddr[i]
 		off := newPC - o.newBase
-		if body, ok := bodies[a]; ok {
-			for i, bi := range body {
-				if err := emitAt(off+uint64(4*i), bi); err != nil {
+		if hasBody[i] {
+			for k, bi := range bodies[i] {
+				if err := emitAt(off+uint64(4*k), bi); err != nil {
 					return nil, err
 				}
 			}

@@ -57,13 +57,8 @@ func reject(name string, out **Rewritten, err *error) {
 // SaferHookWith skips the table-path penalty for them.
 func SaferWith(img *obj.Image, targetISA riscv.Ext, emptyPatch bool, ts *resolve.TargetSet) (out *Rewritten, err error) {
 	defer reject("safer", &out, &err)
-	d := dis.Disassemble(img)
-	recovered := 0
+	d, recovered := decoded(img, ts)
 	resolved := resolvedTargets(ts)
-	if ts != nil && ts.Dis != nil {
-		recovered = len(ts.Dis.Insns) - len(d.Insns)
-		d = ts.Dis
-	}
 	vregAddr, newBase := newLayout(img)
 	rel, err := relocateAll(d, relocOptions{
 		targetISA:  targetISA,
@@ -119,6 +114,17 @@ func SaferWith(img *obj.Image, targetISA riscv.Ext, emptyPatch bool, ts *resolve
 			RecoveredInsts: recovered, ResolvedTargets: len(resolved)},
 		saferChecks: true,
 	}, nil
+}
+
+// decoded returns the disassembly a baseline relocates and how many of its
+// instructions only the resolver's roots reached. With a TargetSet that is
+// the resolver's completed disassembly, compared against its first, plain
+// iteration; the image is not decoded again.
+func decoded(img *obj.Image, ts *resolve.TargetSet) (*dis.Result, int) {
+	if ts == nil {
+		return dis.Disassemble(img), 0
+	}
+	return ts.Dis, len(ts.Dis.Order) - len(ts.Plain.Order)
 }
 
 // resolvedTargets collects the High-confidence targets of a TargetSet as

@@ -12,7 +12,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -776,8 +775,8 @@ func (s *Server) degrade(ctx context.Context, req *RewriteRequest, key string, i
 	dsp := tr.Span("degrade")
 	dsp.Annotate("reason", cause.Error())
 	defer dsp.End()
-	var buf bytes.Buffer
-	if _, err := req.Image.WriteTo(&buf); err != nil {
+	buf, err := req.Image.MarshalBinary()
+	if err != nil {
 		s.tel.requestErrors.With("rewrite").Inc()
 		return nil, fmt.Errorf("service: serializing degraded fallback: %v (while degrading: %v)", err, cause)
 	}
@@ -787,7 +786,7 @@ func (s *Server) degrade(ctx context.Context, req *RewriteRequest, key string, i
 		Key:            key,
 		Method:         req.Method,
 		Target:         isa.String(),
-		ImageBytes:     buf.Bytes(),
+		ImageBytes:     buf,
 		Degraded:       true,
 		DegradedReason: cause.Error(),
 	}, nil
@@ -900,12 +899,12 @@ func doRewrite(req *RewriteRequest, isa riscv.Ext, key string) (*RewriteResult, 
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if _, err := res.Image.WriteTo(&buf); err != nil {
+	buf, err := res.Image.MarshalBinary()
+	if err != nil {
 		return nil, fmt.Errorf("service: serializing result: %w", err)
 	}
 	return &RewriteResult{Key: key, Method: req.Method, Target: isa.String(),
-		ImageBytes: buf.Bytes(), Stats: res.Stats}, nil
+		ImageBytes: buf, Stats: res.Stats}, nil
 }
 
 // Run executes an image on a simulated core through the worker pool, under

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/eurosys26p57/chimera/internal/bench"
+	"github.com/eurosys26p57/chimera/internal/chaos"
 	"github.com/eurosys26p57/chimera/internal/kernel"
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/rewriters"
@@ -263,7 +264,11 @@ func TestServiceShutdownDrains(t *testing.T) {
 // TestServiceCancellation cancels a request while it waits in the queue.
 func TestServiceCancellation(t *testing.T) {
 	images := testImages(t, 2)
-	srv := New(Config{Workers: 1, QueueDepth: 8})
+	// Every rewrite first stalls its worker, so the first request holds
+	// the single worker for as long as the stall, however fast the
+	// rewrite itself is.
+	stall := chaos.New(1, chaos.Config{Rates: map[chaos.Kind]float64{chaos.RewriteStall: 1}, Stall: 500 * time.Millisecond})
+	srv := New(Config{Workers: 1, QueueDepth: 8, Chaos: stall})
 	defer srv.Shutdown(context.Background())
 
 	// Occupy the single worker.

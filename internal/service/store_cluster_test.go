@@ -173,8 +173,10 @@ func TestOfferPanicIsolated(t *testing.T) {
 	srv := servers[0]
 	srv.offer = func(context.Context, *store.Entry) { panic("injected offer fault") }
 
+	// Ring positions follow the listeners' random ports; 24 keys make
+	// "every key owned locally" (offer path never run) vanishingly rare.
 	var offered uint64
-	for _, img := range testImages(t, 6) {
+	for _, img := range testImages(t, 24) {
 		res, err := srv.Rewrite(context.Background(), &RewriteRequest{Method: "chbp", Target: "rv64gc", Image: img})
 		if err != nil || res.Degraded {
 			t.Fatalf("rewrite: err=%v degraded=%v", err, res != nil && res.Degraded)

@@ -23,12 +23,16 @@ import (
 // sequence-level patches).
 func MatchVectorDowngrades(d *dis.Result) []UpgradeSite {
 	var sites []UpgradeSite
-	claimed := make(map[uint64]bool)
-	for _, addr := range d.Order {
-		if claimed[addr] {
+	var claimed map[uint64]bool
+	for i, in := range d.Order {
+		if in.Inst.Op != riscv.VSETVLI || claimed[in.Addr] {
 			continue
 		}
-		if s, ok := matchVectorDotLoop(d, addr); ok {
+		w, ok := d.Window(i, 15)
+		if !ok {
+			continue
+		}
+		if s, ok := matchVectorDotLoop(w); ok {
 			overlap := false
 			for _, a := range s.Addrs {
 				if claimed[a] {
@@ -37,6 +41,9 @@ func MatchVectorDowngrades(d *dis.Result) []UpgradeSite {
 				}
 			}
 			if !overlap {
+				if claimed == nil {
+					claimed = make(map[uint64]bool)
+				}
 				for _, a := range s.Addrs {
 					claimed[a] = true
 				}
@@ -55,12 +62,8 @@ func MatchVectorDowngrades(d *dis.Result) []UpgradeSite {
 //	      sub n,n,t             ; bne n, zero, loop
 //	vsetvli t, zero, e ; vfmv.v.f vSeed, fAcc
 //	vfredusum.vs vR, vSeed, vAcc ; vfmv.f.s fAcc, vR
-func matchVectorDotLoop(d *dis.Result, addr uint64) (UpgradeSite, bool) {
-	is, addrs, ok := chain(d, addr, 15)
-	if !ok {
-		return UpgradeSite{}, false
-	}
-	pre0, pre1 := is[0], is[1]
+func matchVectorDotLoop(w []dis.Insn) (UpgradeSite, bool) {
+	pre0, pre1 := w[0].Inst, w[1].Inst
 	if pre0.Op != riscv.VSETVLI || pre0.Rs1 != riscv.Zero {
 		return UpgradeSite{}, false
 	}
@@ -74,7 +77,7 @@ func matchVectorDotLoop(d *dis.Result, addr uint64) (UpgradeSite, bool) {
 	}
 	vAcc := pre1.Rd
 
-	vset, l0, l1, fma, sh, adA, adB, sub, br := is[2], is[3], is[4], is[5], is[6], is[7], is[8], is[9], is[10]
+	vset, l0, l1, fma, sh, adA, adB, sub, br := w[2].Inst, w[3].Inst, w[4].Inst, w[5].Inst, w[6].Inst, w[7].Inst, w[8].Inst, w[9].Inst, w[10].Inst
 	vle := riscv.VLE64V
 	shift, step := int64(3), int64(8)
 	if sew == riscv.E32 {
@@ -103,11 +106,11 @@ func matchVectorDotLoop(d *dis.Result, addr uint64) (UpgradeSite, bool) {
 		return UpgradeSite{}, false
 	}
 	if br.Op != riscv.BNE || br.Rs1 != rN || br.Rs2 != riscv.Zero ||
-		addrs[10]+uint64(br.Imm) != addrs[2] {
+		w[10].Addr+uint64(br.Imm) != w[2].Addr {
 		return UpgradeSite{}, false
 	}
 
-	post0, post1, red, mv := is[11], is[12], is[13], is[14]
+	post0, post1, red, mv := w[11].Inst, w[12].Inst, w[13].Inst, w[14].Inst
 	if post0.Op != riscv.VSETVLI || post0.Rd != t || post0.Rs1 != riscv.Zero {
 		return UpgradeSite{}, false
 	}
@@ -153,5 +156,5 @@ func matchVectorDotLoop(d *dis.Result, addr uint64) (UpgradeSite, bool) {
 	if sew == riscv.E32 {
 		kind = "vdot.e32.down"
 	}
-	return UpgradeSite{Kind: kind, Addrs: addrs, Replacement: repl}, true
+	return UpgradeSite{Kind: kind, Addrs: addrsOf(w), Replacement: repl}, true
 }

@@ -21,54 +21,62 @@ func (u *UpgradeSite) Start() uint64 { return u.Addrs[0] }
 // MatchUpgrades scans a disassembly for upgradeable idioms. Like the
 // paper's upgrade path, it is template-driven: it recognizes the scalar
 // loop shapes compilers (here: the workload builder) emit for dot-product
-// and axpy kernels, plus the slli+add pair that Zba's shNadd fuses.
+// and axpy kernels, plus the slli+add pair that Zba's shNadd fuses. Each
+// template is tried only where its first opcode sits, on a window of the
+// disassembly itself, so a scan allocates only for the sites it returns.
 func MatchUpgrades(d *dis.Result) []UpgradeSite {
 	var sites []UpgradeSite
-	claimed := make(map[uint64]bool)
+	var claimed map[uint64]bool
 	claim := func(s UpgradeSite) {
 		for _, a := range s.Addrs {
 			if claimed[a] {
 				return
 			}
 		}
+		if claimed == nil {
+			claimed = make(map[uint64]bool)
+		}
 		for _, a := range s.Addrs {
 			claimed[a] = true
 		}
 		sites = append(sites, s)
 	}
-	for _, addr := range d.Order {
-		if claimed[addr] {
+	for i, in := range d.Order {
+		if claimed[in.Addr] {
 			continue
 		}
-		if s, ok := matchDotLoop(d, addr); ok {
-			claim(s)
-			continue
-		}
-		if s, ok := matchAxpyLoop(d, addr); ok {
-			claim(s)
-			continue
-		}
-		if s, ok := matchShadd(d, addr); ok {
-			claim(s)
+		switch in.Inst.Op {
+		case riscv.FLD:
+			if w, ok := d.Window(i, 7); ok {
+				if s, ok := matchDotLoop(w); ok {
+					claim(s)
+					continue
+				}
+			}
+			if w, ok := d.Window(i, 8); ok {
+				if s, ok := matchAxpyLoop(w); ok {
+					claim(s)
+				}
+			}
+		case riscv.SLLI:
+			if w, ok := d.Window(i, 2); ok {
+				if s, ok := matchShadd(w); ok {
+					claim(s)
+				}
+			}
 		}
 	}
 	return sites
 }
 
-// chain collects n contiguous instructions starting at addr.
-func chain(d *dis.Result, addr uint64, n int) ([]riscv.Inst, []uint64, bool) {
-	insts := make([]riscv.Inst, 0, n)
-	addrs := make([]uint64, 0, n)
-	for len(insts) < n {
-		in, ok := d.At(addr)
-		if !ok {
-			return nil, nil, false
-		}
-		insts = append(insts, in)
-		addrs = append(addrs, addr)
-		addr += uint64(in.Len)
+// addrsOf lists a matched window's addresses: the one allocation a match
+// makes for its source sequence.
+func addrsOf(w []dis.Insn) []uint64 {
+	out := make([]uint64, len(w))
+	for i, in := range w {
+		out[i] = in.Addr
 	}
-	return insts, addrs, true
+	return out
 }
 
 // matchDotLoop recognizes the canonical scalar dot-product inner loop:
@@ -76,12 +84,8 @@ func chain(d *dis.Result, addr uint64, n int) ([]riscv.Inst, []uint64, bool) {
 //	loop: fld fX, 0(rA); fld fY, 0(rB); fmadd.d fACC, fX, fY, fACC
 //	      addi rA, rA, 8; addi rB, rB, 8; addi rN, rN, -1
 //	      bne rN, zero, loop
-func matchDotLoop(d *dis.Result, addr uint64) (UpgradeSite, bool) {
-	is, addrs, ok := chain(d, addr, 7)
-	if !ok {
-		return UpgradeSite{}, false
-	}
-	l0, l1, fma, adA, adB, adN, br := is[0], is[1], is[2], is[3], is[4], is[5], is[6]
+func matchDotLoop(w []dis.Insn) (UpgradeSite, bool) {
+	l0, l1, fma, adA, adB, adN, br := w[0].Inst, w[1].Inst, w[2].Inst, w[3].Inst, w[4].Inst, w[5].Inst, w[6].Inst
 	if l0.Op != riscv.FLD || l0.Imm != 0 ||
 		l1.Op != riscv.FLD || l1.Imm != 0 ||
 		fma.Op != riscv.FMADDD || fma.Rs1 != l0.Rd || fma.Rs2 != l1.Rd || fma.Rs3 != fma.Rd {
@@ -97,7 +101,7 @@ func matchDotLoop(d *dis.Result, addr uint64) (UpgradeSite, bool) {
 		return UpgradeSite{}, false
 	}
 	if br.Op != riscv.BNE || br.Rs1 != rN || br.Rs2 != riscv.Zero ||
-		addrs[6]+uint64(br.Imm) != addr {
+		w[6].Addr+uint64(br.Imm) != w[0].Addr {
 		return UpgradeSite{}, false
 	}
 	acc := fma.Rd
@@ -129,7 +133,7 @@ func matchDotLoop(d *dis.Result, addr uint64) (UpgradeSite, bool) {
 	if err != nil {
 		return UpgradeSite{}, false
 	}
-	return UpgradeSite{Kind: "dot.e64", Addrs: addrs, Replacement: repl}, true
+	return UpgradeSite{Kind: "dot.e64", Addrs: addrsOf(w), Replacement: repl}, true
 }
 
 // matchAxpyLoop recognizes the canonical scalar axpy inner loop:
@@ -137,12 +141,8 @@ func matchDotLoop(d *dis.Result, addr uint64) (UpgradeSite, bool) {
 //	loop: fld fX, 0(rA); fld fY, 0(rB); fmadd.d fY, fX, fALPHA, fY; fsd fY, 0(rB)
 //	      addi rA, rA, 8; addi rB, rB, 8; addi rN, rN, -1
 //	      bne rN, zero, loop
-func matchAxpyLoop(d *dis.Result, addr uint64) (UpgradeSite, bool) {
-	is, addrs, ok := chain(d, addr, 8)
-	if !ok {
-		return UpgradeSite{}, false
-	}
-	l0, l1, fma, st, adA, adB, adN, br := is[0], is[1], is[2], is[3], is[4], is[5], is[6], is[7]
+func matchAxpyLoop(w []dis.Insn) (UpgradeSite, bool) {
+	l0, l1, fma, st, adA, adB, adN, br := w[0].Inst, w[1].Inst, w[2].Inst, w[3].Inst, w[4].Inst, w[5].Inst, w[6].Inst, w[7].Inst
 	if l0.Op != riscv.FLD || l0.Imm != 0 ||
 		l1.Op != riscv.FLD || l1.Imm != 0 ||
 		fma.Op != riscv.FMADDD || fma.Rs1 != l0.Rd || fma.Rd != l1.Rd || fma.Rs3 != l1.Rd {
@@ -162,7 +162,7 @@ func matchAxpyLoop(d *dis.Result, addr uint64) (UpgradeSite, bool) {
 		return UpgradeSite{}, false
 	}
 	if br.Op != riscv.BNE || br.Rs1 != rN || br.Rs2 != riscv.Zero ||
-		addrs[7]+uint64(br.Imm) != addr {
+		w[7].Addr+uint64(br.Imm) != w[0].Addr {
 		return UpgradeSite{}, false
 	}
 
@@ -187,17 +187,13 @@ func matchAxpyLoop(d *dis.Result, addr uint64) (UpgradeSite, bool) {
 	if err != nil {
 		return UpgradeSite{}, false
 	}
-	return UpgradeSite{Kind: "axpy.e64", Addrs: addrs, Replacement: repl}, true
+	return UpgradeSite{Kind: "axpy.e64", Addrs: addrsOf(w), Replacement: repl}, true
 }
 
 // matchShadd recognizes "slli rd, rs1, k; add rd, rd, rs2" (k in 1..3,
 // rs2 != rd) and fuses it into Zba's shNadd.
-func matchShadd(d *dis.Result, addr uint64) (UpgradeSite, bool) {
-	is, addrs, ok := chain(d, addr, 2)
-	if !ok {
-		return UpgradeSite{}, false
-	}
-	sl, ad := is[0], is[1]
+func matchShadd(w []dis.Insn) (UpgradeSite, bool) {
+	sl, ad := w[0].Inst, w[1].Inst
 	if sl.Op != riscv.SLLI || sl.Imm < 1 || sl.Imm > 3 {
 		return UpgradeSite{}, false
 	}
@@ -209,5 +205,5 @@ func matchShadd(d *dis.Result, addr uint64) (UpgradeSite, bool) {
 	// semantics by requiring the same operand shape either way.
 	op := []riscv.Op{riscv.SH1ADD, riscv.SH2ADD, riscv.SH3ADD}[sl.Imm-1]
 	repl := []riscv.Inst{{Op: op, Rd: ad.Rd, Rs1: sl.Rs1, Rs2: ad.Rs2}}
-	return UpgradeSite{Kind: "shadd", Addrs: addrs, Replacement: repl}, true
+	return UpgradeSite{Kind: "shadd", Addrs: addrsOf(w), Replacement: repl}, true
 }

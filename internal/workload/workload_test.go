@@ -154,12 +154,12 @@ func TestSpecExtensionShare(t *testing.T) {
 		}
 		d := dis.Disassemble(img)
 		vec := 0
-		for _, in := range d.Insns {
-			if in.IsVector() {
+		for _, in := range d.Order {
+			if in.Inst.IsVector() {
 				vec++
 			}
 		}
-		pct := 100 * float64(vec) / float64(len(d.Insns))
+		pct := 100 * float64(vec) / float64(len(d.Order))
 		if pct < c.PaperExtPct/3 || pct > c.PaperExtPct*3 {
 			t.Errorf("%s: generated ext share %.2f%%, paper %.2f%%", c.Params.Name, pct, c.PaperExtPct)
 		}

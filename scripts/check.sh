@@ -1,9 +1,9 @@
 #!/bin/sh
 # Pre-PR gate: formatting, vet, build (this module and the chimerabench
 # benchmark module), the full test suite under the race detector, the
-# warm-loop alloc and nil-hook instrumentation overhead gates, the
-# coverage-guided campaign smoke, and short native-fuzz smokes over the
-# differential oracles and the decoders of untrusted bytes.
+# warm-loop alloc, cold-rewrite alloc and nil-hook instrumentation overhead
+# gates, the coverage-guided campaign smoke, and short native-fuzz smokes
+# over the differential oracles and the decoders of untrusted bytes.
 # Run from anywhere; it anchors itself at the repo root.
 set -eu
 cd "$(dirname "$0")/.."
@@ -48,6 +48,26 @@ awk '/^Benchmark(CPURun|FuzzExec)/ {
         }
 } END { exit bad }' "$ALLOC_RAW"
 rm -f "$ALLOC_RAW"
+# Cold rewrites (resolve, disassemble, match, place, tables, serialize) run
+# over one dense decoded program and allocate mostly per patch site, not per
+# instruction. The ceiling is 3000 allocs/op for every method x resolver
+# row; the largest row measured 2532 (about 18% headroom), against 43948
+# for the same row under the map-per-address disassembly it replaced.
+echo "== rewrite pipeline alloc gate (every method x resolver off/on, allocs/op <= 3000)"
+PIPE_RAW="$(mktemp)"
+go test -run=- -bench='BenchmarkRewritePipeline' -benchtime=5x -benchmem ./internal/rewriters/ | tee "$PIPE_RAW"
+awk -v ceiling=3000 '/^BenchmarkRewritePipeline\// {
+    rows++
+    for (i = 2; i < NF; i++)
+        if ($(i+1) == "allocs/op" && $i + 0 > ceiling) {
+            printf "pipeline alloc gate: %s reports %s allocs/op, ceiling %d\n", $1, $i, ceiling > "/dev/stderr"
+            bad = 1
+        }
+} END {
+    if (rows != 16) { printf "pipeline alloc gate: %d rows, want 16\n", rows > "/dev/stderr"; exit 1 }
+    exit bad
+}' "$PIPE_RAW"
+rm -f "$PIPE_RAW"
 # The nil-hook gate takes the min of several short runs (noise floors, not
 # means) and bounds attached-but-idle instrumentation at 2% of the bare hot
 # loop — the fuzzing service's idle cost when no observers are installed.
@@ -72,4 +92,6 @@ go test -run=- -fuzz=FuzzDifferential -fuzztime=10s ./internal/fuzz >/dev/null
 go test -run=- -fuzz=FuzzRewrite -fuzztime=10s ./internal/fuzz >/dev/null
 go test -run=- -fuzz=FuzzObjLoad -fuzztime=10s ./internal/obj >/dev/null
 go test -run=- -fuzz=FuzzDecodeEntry -fuzztime=10s ./internal/store >/dev/null
+go test -run=- -fuzz=FuzzUnmarshalTables -fuzztime=10s ./internal/chbp >/dev/null
+go test -run=- -fuzz=FuzzDisassemble -fuzztime=10s ./internal/dis >/dev/null
 echo "== ok"
