@@ -333,6 +333,39 @@ func TestMemorySharing(t *testing.T) {
 	}
 }
 
+// TestDirtyLog checks that a tracked frame is logged once per clean-to-dirty
+// transition whichever address space writes it, and that clones and
+// untracked frames are never logged.
+func TestDirtyLog(t *testing.T) {
+	m1 := NewMemory()
+	m1.Map(0x1000, 2*obj.PageSize, obj.PermRW)
+	m2 := NewMemory()
+	m2.ShareFrom(m1, 0x1000, obj.PageSize)
+	var l DirtyLog
+	pg, _ := m1.Page(0x1000)
+	if s := l.Track(pg); s != 0 || l.Track(pg) != 0 {
+		t.Fatalf("slot %d, want 0 on both Tracks", s)
+	}
+	m2.WriteUint64(0x1008, 1) // through the sharing address space
+	m1.WriteUint64(0x1010, 2) // already dirty: not logged again
+	m1.WriteUint64(0x2000, 3) // untracked frame
+	m1.Clone().WriteUint64(0x1000, 4)
+	if d := l.Drain(); len(d) != 1 || d[0] != 0 {
+		t.Fatalf("logged %v, want [0]", d)
+	}
+	pg.ClearDirty()
+	m1.Poke(0x1000, []byte{5})
+	if d := l.Drain(); len(d) != 1 {
+		t.Fatalf("logged %v after ClearDirty and Poke, want one entry", d)
+	}
+	l.Untrack()
+	pg.ClearDirty()
+	m2.WriteUint64(0x1000, 6)
+	if d := l.Drain(); len(d) != 0 {
+		t.Fatalf("logged %v after Untrack", d)
+	}
+}
+
 func TestCompressedExecution(t *testing.T) {
 	// c.li a0, 10 ; c.addi a0, 5 ; ecall
 	text := []byte{0x29, 0x45, 0x15, 0x05, 0x73, 0x00, 0x00, 0x00}

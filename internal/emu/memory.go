@@ -21,16 +21,24 @@ import (
 // reference between address spaces: Chimera's MMViews map the same data
 // frames into every view while giving each view its own code frames (§4.3).
 type Page struct {
+	// log is the DirtyLog tracking this frame, if any (see dirty). It is
+	// the frame's only pointer and comes first, so the garbage collector
+	// scans one word of a Page rather than all of Data.
+	log *DirtyLog
+
 	Data [obj.PageSize]byte
 	Perm obj.Perm
 
 	// dirty is set by every mutation of Data through a Memory — guest
 	// stores (storeU64/storeU32, and access for writes: the interpreter,
 	// the vector unit, Write, and through it the kernel's read(2) copy-in
-	// and vector-state spills) and Poke — and cleared only by ClearDirty. It sits beside Perm so the
-	// store that sets it hits the cache line the permission check just
-	// loaded. The loader (MapSection) writes without setting it.
+	// and vector-state spills) and Poke — and cleared only by ClearDirty.
+	// It sits beside Perm so the test that guards it hits the cache line
+	// the permission check just loaded. The loader (MapSection) writes
+	// without setting it. When it goes from false to true on a frame a
+	// DirtyLog tracks, the frame's slot is appended to that log (setDirty).
 	dirty bool
+	slot  int32
 
 	// gen counts Pokes into this frame. Because frames are shared by
 	// reference, decoded-code caches (icache, blocks, traces) validate
@@ -50,6 +58,61 @@ func (p *Page) Dirty() bool { return p.dirty }
 // ClearDirty marks the frame clean. The caller asserts its bytes are back
 // at the state it restores to.
 func (p *Page) ClearDirty() { p.dirty = false }
+
+// setDirty marks a clean frame dirty and logs it if a DirtyLog tracks it.
+// Callers test p.dirty first, so a store to an already-dirty frame costs
+// one predictable branch.
+func (p *Page) setDirty() {
+	p.dirty = true
+	if p.log != nil {
+		p.log.dirtied = append(p.log.dirtied, p.slot)
+	}
+}
+
+// DirtyLog records tracked frames as they turn dirty, so a restorer visits
+// the frames an execution wrote instead of testing every frame it could
+// restore. The log belongs to the frames, not to the Memory that writes
+// them: a frame shared by several address spaces is logged whichever of
+// them dirties it.
+type DirtyLog struct {
+	frames  []*Page // tracked frames, by slot
+	dirtied []int32 // slots whose frames turned dirty since the last Drain
+}
+
+// Track registers p and returns its slot: from now on the first write that
+// dirties p (after a ClearDirty) appends the slot to the log. Slots are
+// dense, in registration order; tracking a frame twice returns its first
+// slot. A frame belongs to at most one log, so Track takes p from any other
+// log, which then no longer sees it.
+func (l *DirtyLog) Track(p *Page) int {
+	if p.log != l {
+		p.log, p.slot = l, int32(len(l.frames))
+		l.frames = append(l.frames, p)
+	}
+	return int(p.slot)
+}
+
+// Untrack unregisters every tracked frame and empties the log.
+func (l *DirtyLog) Untrack() {
+	for _, p := range l.frames {
+		if p.log == l {
+			p.log = nil
+		}
+	}
+	clear(l.frames)
+	l.frames = l.frames[:0]
+	l.dirtied = l.dirtied[:0]
+}
+
+// Drain returns the slots logged since the last Drain, in the order their
+// frames turned dirty, and empties the log. A slot appears once per
+// clean-to-dirty transition. The slice is valid until the next tracked
+// frame turns dirty.
+func (l *DirtyLog) Drain() []int32 {
+	d := l.dirtied
+	l.dirtied = l.dirtied[:0]
+	return d
+}
 
 // Memory is a sparse paged address space. A one-entry translation cache
 // keeps the hot-loop lookup off the page map.
@@ -100,7 +163,9 @@ func (m *Memory) Poke(addr uint64, data []byte) bool {
 		off := addr & (obj.PageSize - 1)
 		n := copy(p.Data[off:], data)
 		p.gen++
-		p.dirty = true
+		if !p.dirty {
+			p.setDirty()
+		}
 		data = data[n:]
 		addr += uint64(n)
 	}
@@ -205,7 +270,9 @@ func (m *Memory) access(addr uint64, buf []byte, write bool, need obj.Perm) (uin
 		var n int
 		if write {
 			n = copy(p.Data[off:], buf)
-			p.dirty = true
+			if !p.dirty {
+				p.setDirty()
+			}
 		} else {
 			n = copy(buf, p.Data[off:])
 		}
@@ -256,7 +323,9 @@ func (m *Memory) storeU64(addr uint64, v uint64) bool {
 	if !ok || p.Perm&obj.PermW == 0 {
 		return false
 	}
-	p.dirty = true
+	if !p.dirty {
+		p.setDirty()
+	}
 	binary.LittleEndian.PutUint64(p.Data[off:], v)
 	return true
 }
@@ -270,7 +339,9 @@ func (m *Memory) storeU32(addr uint64, v uint32) bool {
 	if !ok || p.Perm&obj.PermW == 0 {
 		return false
 	}
-	p.dirty = true
+	if !p.dirty {
+		p.setDirty()
+	}
 	binary.LittleEndian.PutUint32(p.Data[off:], v)
 	return true
 }
@@ -324,10 +395,12 @@ func (m *Memory) WriteUint64(addr, v uint64) error {
 }
 
 // Clone returns a new address space sharing no frames with m (deep copy).
+// The copies are tracked by no DirtyLog.
 func (m *Memory) Clone() *Memory {
 	out := NewMemory()
 	for pn, p := range m.pages {
 		cp := *p
+		cp.log = nil
 		out.pages[pn] = &cp
 	}
 	return out

@@ -34,16 +34,50 @@ func (r *refFold) fold(m *[instrument.CovMapSize]byte) bool {
 	return novel
 }
 
+// edgeFeeder feeds a Coverage through Edge only, mirroring its edge chain
+// (cell = id ^ prev, then prev = id>>1) so that each hit lands on a chosen
+// cell. Coverage.Reset returns the chain to prev = 0; so must reset.
+type edgeFeeder struct {
+	cov  *instrument.Coverage
+	prev uint32
+}
+
+func (d *edgeFeeder) hit(cell int) {
+	id := uint32(cell) ^ d.prev
+	d.cov.Edge(id)
+	d.prev = id >> 1
+}
+
+func (d *edgeFeeder) reset() {
+	d.cov.Reset()
+	d.prev = 0
+}
+
+// fill raises every cell of the coverage map to want's count through Edge,
+// visiting the cells in a random order.
+func (d *edgeFeeder) fill(rng *rand.Rand, want *[instrument.CovMapSize]byte) {
+	for _, i := range rng.Perm(len(want)) {
+		for n := 0; n < int(want[i]); n++ {
+			d.hit(i)
+		}
+	}
+}
+
 // TestCoverNewMatchesReference drives coverNew and the reference fold with
 // the same bitmaps over many rounds — random dense, sparse, saturated,
 // word-boundary and empty maps, each round folding into the virgin state
 // the earlier rounds left — and requires identical novelty, virgin maps
-// and edge counts after every fold.
+// and edge counts after every fold. Each shape describes a map, which is
+// then produced through Coverage.Edge alone, so coverNew reads the cells
+// the coverage map itself recorded as touched.
 func TestCoverNewMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
+	order := rand.New(rand.NewSource(13)) // fill order, apart from the shapes' draws
 	c := &Campaign{cov: instrument.NewCoverage()}
+	d := &edgeFeeder{cov: c.cov}
 	var ref refFold
-	m := &c.cov.Map
+	var want [instrument.CovMapSize]byte
+	m := &want
 
 	shapes := []struct {
 		name string
@@ -89,11 +123,16 @@ func TestCoverNewMatchesReference(t *testing.T) {
 	}
 	for round := 0; round < 60; round++ {
 		s := shapes[rng.Intn(len(shapes))]
-		c.cov.Reset()
+		d.reset()
+		want = [instrument.CovMapSize]byte{}
 		s.fill()
-		got, want := c.coverNew(), ref.fold(m)
-		if got != want {
-			t.Fatalf("round %d (%s): coverNew novel=%v, reference %v", round, s.name, got, want)
+		d.fill(order, &want)
+		if c.cov.Map != want {
+			t.Fatalf("round %d (%s): Edge did not reproduce the shape's map", round, s.name)
+		}
+		got, wantNovel := c.coverNew(), ref.fold(&c.cov.Map)
+		if got != wantNovel {
+			t.Fatalf("round %d (%s): coverNew novel=%v, reference %v", round, s.name, got, wantNovel)
 		}
 		if c.virgin != ref.virgin {
 			for i := range c.virgin {

@@ -16,10 +16,8 @@ package fuzzsvc
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"sync"
 	"time"
@@ -144,6 +142,9 @@ type Campaign struct {
 	queue    [][]byte
 	dict     [][]byte
 	dictSeen map[string]bool
+	// mut is havoc's output buffer, reused by every mutation: step and
+	// everything it calls copy what they keep.
+	mut []byte
 
 	// mu guards everything Snapshot reads while Run executes.
 	mu        sync.Mutex
@@ -190,7 +191,7 @@ func New(cfg Config) (*Campaign, error) {
 		crashIdx: make(map[crashKey]int),
 		started:  time.Now(),
 	}
-	c.trace = fnv.New64a().Sum64() // the chain's deterministic basis
+	c.trace = fnvOffset64 // the chain's deterministic basis: FNV-64a of nothing
 	return c, nil
 }
 
@@ -325,28 +326,40 @@ func (c *Campaign) exec(input []byte) execResult {
 // record extends the campaign's hash chain with one execution and charges
 // the exec budget. The chain covers the input bytes and the classified
 // outcome, so any behavioral divergence between two same-config campaigns
-// changes the digest.
+// changes the digest. The chain is FNV-64a over the previous chain value,
+// the exec index, the input length and bytes, and the outcome fields, each
+// integer as 8 little-endian bytes.
 func (c *Campaign) record(input []byte, res execResult) {
-	h := fnv.New64a()
-	var buf [8]byte
-	put64 := func(v uint64) {
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
 	c.mu.Lock()
-	put64(c.trace)
-	put64(c.execs)
-	put64(uint64(len(input)))
-	h.Write(input)
-	put64(uint64(res.kind))
-	put64(uint64(res.signal))
-	put64(res.pc)
-	put64(res.exit)
-	c.trace = h.Sum64()
+	h := fnv64aUint(fnvOffset64, c.trace)
+	h = fnv64aUint(h, c.execs)
+	h = fnv64aUint(h, uint64(len(input)))
+	for _, b := range input {
+		h = (h ^ uint64(b)) * fnvPrime64
+	}
+	h = fnv64aUint(h, uint64(res.kind))
+	h = fnv64aUint(h, uint64(res.signal))
+	h = fnv64aUint(h, res.pc)
+	h = fnv64aUint(h, res.exit)
+	c.trace = h
 	c.execs++
 	c.mu.Unlock()
+}
+
+// The FNV-64a parameters (hash/fnv's New64a, written out so the chain
+// allocates nothing).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv64aUint folds v's 8 little-endian bytes into FNV-64a state h.
+func fnv64aUint(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ (v & 0xff)) * fnvPrime64
+		v >>= 8
+	}
+	return h
 }
 
 // bucketOf maps a raw edge hit count to its AFL count bucket bit.
@@ -373,8 +386,6 @@ func bucketOf(x byte) byte {
 	}
 }
 
-var le = binary.LittleEndian
-
 // bucketTable is bucketOf tabulated over every hit count.
 var bucketTable = func() (t [256]byte) {
 	for i := range t {
@@ -384,33 +395,22 @@ var bucketTable = func() (t [256]byte) {
 }()
 
 // coverNew folds the execution's coverage bitmap into the virgin map and
-// reports whether any (edge, count-bucket) pair was new. An execution
-// touches a few hundred cells of the 64 KiB map, so the fold skips all-zero
-// words — tested four at a time, which keeps the scan at memory speed — and
-// keeps the edge count up to date as virgin cells first turn non-zero,
-// instead of recounting the map.
+// reports whether any (edge, count-bucket) pair was new. It visits only the
+// cells the execution touched (instrument.Coverage.Touched), buckets each
+// through a 256-entry table built from bucketOf, and keeps the edge count
+// up to date as virgin cells first turn non-zero, instead of recounting the
+// map.
 func (c *Campaign) coverNew() bool {
 	novel := false
 	m := &c.cov.Map
-	for w := 0; w < len(m); w += 32 {
-		q := m[w : w+32 : w+32]
-		if le.Uint64(q)|le.Uint64(q[8:])|le.Uint64(q[16:])|le.Uint64(q[24:]) == 0 {
-			continue
-		}
-		for k := w; k < w+32; k += 8 {
-			if le.Uint64(m[k:k+8]) == 0 {
-				continue
+	for _, i := range c.cov.Touched() {
+		b := bucketTable[m[i]]
+		if v := c.virgin[i]; v&b != b {
+			if v == 0 {
+				c.virginEdges++
 			}
-			for i := k; i < k+8; i++ {
-				b := bucketTable[m[i]]
-				if v := c.virgin[i]; v&b != b {
-					if v == 0 {
-						c.virginEdges++
-					}
-					c.virgin[i] = v | b
-					novel = true
-				}
-			}
+			c.virgin[i] = v | b
+			novel = true
 		}
 	}
 	if novel {

@@ -1,12 +1,16 @@
 package fuzzsvc
 
-import "bytes"
+import (
+	"bytes"
+	"slices"
+)
 
 // havoc applies a stacked burst of random mutations to a corpus entry —
 // the AFL havoc stage. Every choice draws from the campaign's seeded rng,
-// so the mutation sequence replays deterministically.
+// so the mutation sequence replays deterministically. The result is built
+// in the campaign's mutation buffer and is valid until the next havoc.
 func (c *Campaign) havoc(base []byte) []byte {
-	out := append([]byte(nil), base...)
+	out := append(c.mut[:0], base...)
 	if len(out) == 0 {
 		out = append(out, 0)
 	}
@@ -34,15 +38,15 @@ func (c *Campaign) havoc(base []byte) []byte {
 			}
 			tok := c.dict[c.rng.Intn(len(c.dict))]
 			p := c.rng.Intn(len(out) + 1)
-			out = append(out[:p], append(append([]byte(nil), tok...), out[p:]...)...)
+			out = openGap(out, p, len(tok))
+			copy(out[p:], tok)
 		case 5: // insert random bytes
 			p := c.rng.Intn(len(out) + 1)
 			k := 1 + c.rng.Intn(8)
-			ins := make([]byte, k)
-			for j := range ins {
-				ins[j] = byte(c.rng.Intn(256))
+			out = openGap(out, p, k)
+			for j := p; j < p+k; j++ {
+				out[j] = byte(c.rng.Intn(256))
 			}
-			out = append(out[:p], append(ins, out[p:]...)...)
 		case 6: // delete a range
 			if len(out) < 2 {
 				continue
@@ -63,7 +67,16 @@ func (c *Campaign) havoc(base []byte) []byte {
 			copy(out[dst:], out[src:src+k])
 		}
 	}
+	c.mut = out
 	return c.clamp(out)
+}
+
+// openGap grows b by n bytes and moves b[p:] up to make room, leaving
+// b[p:p+n] for the caller to fill.
+func openGap(b []byte, p, n int) []byte {
+	b = slices.Grow(b, n)[:len(b)+n]
+	copy(b[p+n:], b[p:])
+	return b
 }
 
 // maxI2SPairs bounds how many distinct comparison pairs one harvest scans;

@@ -12,7 +12,10 @@
 // state is preallocated fixed-size storage so per-execution resets
 // (Hooks.ResetState, called from kernel.Process.Reset) never allocate —
 // the fuzzing loop's steady state is allocation-free like every other hot
-// path in the tree.
+// path in the tree. Resets also cost only what the execution recorded:
+// the rings rewind a counter, and Coverage keeps a list of the cells it
+// touched, so both the campaign's coverage fold and the reset visit those
+// cells instead of the 64 KiB map.
 //
 // The package is dependency-free (the emulator imports it, not the other
 // way around), mirroring how internal/telemetry hosts the guest profiler.
@@ -34,9 +37,20 @@ const (
 // pc): the bitmap cell for (id ^ prev) is bumped and prev becomes id>>1.
 // Counts saturate at 255 rather than wrapping so hit-count bucketing stays
 // monotone.
+//
+// Map is written only by Edge; readers may scan it, but a cell set any
+// other way is invisible to Touched, Edges and Reset. Edge lists a cell's
+// index the first time the cell turns non-zero, and a cell never returns to
+// zero before Reset, so the touched list holds each non-zero cell exactly
+// once and cannot overflow. That is what makes an exec's coverage cost
+// proportional to the edges it took: the fold reads Touched and Reset
+// zeroes only those cells, instead of streaming the 64 KiB map.
 type Coverage struct {
 	Map  [CovMapSize]byte
 	prev uint32
+
+	touched  [CovMapSize]uint16
+	nTouched int
 }
 
 // NewCoverage returns an empty coverage map.
@@ -44,29 +58,34 @@ func NewCoverage() *Coverage { return &Coverage{} }
 
 // Edge records the transition into block id.
 func (c *Coverage) Edge(id uint32) {
-	cell := &c.Map[(id^c.prev)&(CovMapSize-1)]
-	if *cell != 255 {
-		*cell++
+	i := (id ^ c.prev) & (CovMapSize - 1)
+	if v := c.Map[i]; v != 255 {
+		if v == 0 {
+			c.touched[c.nTouched] = uint16(i)
+			c.nTouched++
+		}
+		c.Map[i] = v + 1
 	}
 	c.prev = id >> 1
 }
 
-// Reset clears the bitmap and the edge-chain state without allocating.
+// Touched returns the indices of the non-zero cells, each once, in the
+// order they first turned non-zero. The slice aliases the coverage state
+// and is valid until the next Edge or Reset.
+func (c *Coverage) Touched() []uint16 { return c.touched[:c.nTouched] }
+
+// Reset clears the touched cells and the edge-chain state without
+// allocating.
 func (c *Coverage) Reset() {
-	c.Map = [CovMapSize]byte{}
+	for _, i := range c.touched[:c.nTouched] {
+		c.Map[i] = 0
+	}
+	c.nTouched = 0
 	c.prev = 0
 }
 
 // Edges counts the populated bitmap cells (distinct edges observed).
-func (c *Coverage) Edges() int {
-	n := 0
-	for _, b := range c.Map {
-		if b != 0 {
-			n++
-		}
-	}
-	return n
-}
+func (c *Coverage) Edges() int { return c.nTouched }
 
 // CmpEntry is one logged comparison: the branch pc and both operand values
 // at execution time.

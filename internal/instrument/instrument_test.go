@@ -1,6 +1,9 @@
 package instrument
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func TestCoverageEdgeHashing(t *testing.T) {
 	c := NewCoverage()
@@ -47,6 +50,51 @@ func TestCoverageResetNoAlloc(t *testing.T) {
 	}
 	if c.Edges() != 0 || c.prev != 0 {
 		t.Fatal("Reset did not clear state")
+	}
+}
+
+// TestCoverageTouchedList checks the touched-cell list against the map it
+// summarizes: after random Edge sequences — clustered on a few ids, spread
+// over the whole map, and long enough to saturate cells — interleaved with
+// Resets, Touched lists every non-zero cell exactly once, Edges equals the
+// full-map count, and Reset leaves the whole map zero.
+func TestCoverageTouchedList(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	c := NewCoverage()
+	for round := 0; round < 200; round++ {
+		ids := 1 + rng.Intn(1<<uint(rng.Intn(17)))
+		for n := rng.Intn(5000); n > 0; n-- {
+			c.Edge(uint32(rng.Intn(ids)) * 0x9E3779B1)
+		}
+		seen := make(map[uint16]bool)
+		for _, i := range c.Touched() {
+			if seen[i] {
+				t.Fatalf("round %d: cell %d listed twice", round, i)
+			}
+			seen[i] = true
+			if c.Map[i] == 0 {
+				t.Fatalf("round %d: listed cell %d is zero", round, i)
+			}
+		}
+		nonZero := 0
+		for i, v := range c.Map {
+			if v != 0 {
+				nonZero++
+				if !seen[uint16(i)] {
+					t.Fatalf("round %d: non-zero cell %d not listed", round, i)
+				}
+			}
+		}
+		if c.Edges() != nonZero || len(c.Touched()) != nonZero {
+			t.Fatalf("round %d: Edges %d, Touched %d, non-zero cells %d",
+				round, c.Edges(), len(c.Touched()), nonZero)
+		}
+		if rng.Intn(3) != 0 {
+			c.Reset()
+			if c.Map != ([CovMapSize]byte{}) || c.Edges() != 0 || len(c.Touched()) != 0 || c.prev != 0 {
+				t.Fatalf("round %d: Reset left state behind", round)
+			}
+		}
 	}
 }
 

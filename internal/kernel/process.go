@@ -72,12 +72,14 @@ type Process struct {
 	cur   *View
 	first *View // the initial view, where Reset restarts execution
 
-	// restore is Reset's work list, built from views. restoreGen is the
-	// sum of every view's Memory.MapGen when it was built: the counters
-	// only grow, so the sum moves exactly when some view was remapped.
-	restore    []restoreTarget
+	// frames is Reset's work list, built from views and grouped by frame:
+	// frames[s] holds, in list order, the restore targets of the frame in
+	// dirtyLog slot s. restoreGen is the sum of every view's Memory.MapGen
+	// when it was built: the counters only grow, so the sum moves exactly
+	// when some view was remapped.
+	frames     [][]restoreTarget
 	restoreGen uint64
-	restored   []*emu.Page // scratch: the frames the last Reset restored
+	dirtyLog   emu.DirtyLog
 
 	FAM FAMPolicy
 
@@ -255,34 +257,30 @@ var zeroFrame [obj.PageSize]byte
 // neither page mapping nor re-translation, which is what makes repeated
 // runs allocation-free.
 //
-// Memory costs what the guest touched. Reset walks a list of restore
-// targets (a frame plus the section or stack bytes it returns to) and
-// copies only into frames whose dirty bit is set (emu.Page.Dirty). It
-// clears the bits of the frames it restored in a second pass, so a frame
-// holding several targets is clean only after all of them are restored.
-// The byte ranges restored are exactly the writable sections and the
-// stack; the rest of a frame is left as the guest wrote it. When any view
-// was remapped since the list was built, the list is rebuilt and every
-// target restored: a frame mapped in since then carries no dirty history
-// to trust.
+// Memory costs what the guest touched. Every frame holding a restore
+// target (a writable section's bytes in any view, or a stack page) is
+// registered with the process's emu.DirtyLog, which logs the frame when its
+// dirty bit goes from false to true — whichever view or writer dirtied it.
+// Reset drains the log and, for each logged frame, copies back all of that
+// frame's targets in list order and marks it clean; frames the exec did not
+// write are not visited. The byte ranges restored are exactly the writable
+// sections and the stack; the rest of a frame is left as the guest wrote
+// it. When any view was remapped since the list was built, the list is
+// rebuilt, its frames re-registered (which empties the log), and every
+// target restored: a frame mapped in since then carries no dirty history to
+// trust.
 func (p *Process) Reset() {
-	full := false
 	if gen := p.mapGen(); gen != p.restoreGen {
 		p.buildRestoreList()
 		p.restoreGen = gen
-		full = true
-	}
-	restored := p.restored[:0]
-	for _, t := range p.restore {
-		if full || t.page.Dirty() {
-			copy(t.page.Data[t.off:], t.src)
-			restored = append(restored, t.page)
+		for _, ts := range p.frames {
+			restoreFrame(ts)
+		}
+	} else {
+		for _, s := range p.dirtyLog.Drain() {
+			restoreFrame(p.frames[s])
 		}
 	}
-	for _, pg := range restored {
-		pg.ClearDirty()
-	}
-	p.restored = restored
 	p.cur = p.first
 	p.CPU.Mem = p.first.mem
 	p.CPU.ISA = p.first.isa
@@ -298,6 +296,15 @@ func (p *Process) Reset() {
 	p.sigFrame = sigContext{}
 }
 
+// restoreFrame copies back the restore targets of one frame, in list
+// order, then marks the frame clean.
+func restoreFrame(ts []restoreTarget) {
+	for _, t := range ts {
+		copy(t.page.Data[t.off:], t.src)
+	}
+	ts[0].page.ClearDirty()
+}
+
 func (p *Process) mapGen() uint64 {
 	var g uint64
 	for _, v := range p.views {
@@ -307,22 +314,33 @@ func (p *Process) mapGen() uint64 {
 }
 
 // buildRestoreList lists every view's writable sections, then the stack
-// frames, which all views share with the first.
+// frames, which all views share with the first. It registers each listed
+// frame with the dirty log, which numbers frames by first appearance, and
+// groups the targets by that slot, keeping list order within a frame, so a
+// logged slot indexes its targets directly.
 func (p *Process) buildRestoreList() {
-	p.restore = p.restore[:0]
+	var list []restoreTarget
 	for _, v := range p.views {
 		for _, s := range v.img.Sections {
 			if s.Perm&obj.PermW != 0 {
-				p.restore = appendRestore(p.restore, v.mem, s.Addr, s.Data)
+				list = appendRestore(list, v.mem, s.Addr, s.Data)
 			}
 		}
 	}
 	for a := obj.StackTop - obj.StackSize; a < obj.StackTop; a += obj.PageSize {
 		if pg, ok := p.first.mem.Page(a); ok {
-			p.restore = append(p.restore, restoreTarget{page: pg, src: zeroFrame[:]})
+			list = append(list, restoreTarget{page: pg, src: zeroFrame[:]})
 		}
 	}
-	p.restored = make([]*emu.Page, 0, len(p.restore))
+	p.dirtyLog.Untrack()
+	p.frames = p.frames[:0]
+	for _, t := range list {
+		if s := p.dirtyLog.Track(t.page); s < len(p.frames) {
+			p.frames[s] = append(p.frames[s], t)
+		} else {
+			p.frames = append(p.frames, []restoreTarget{t})
+		}
+	}
 }
 
 // appendRestore splits the restore of src to addr into per-frame targets.

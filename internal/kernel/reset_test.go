@@ -162,6 +162,16 @@ func resetDiffs(p, fresh *Process) []string {
 	return diffs
 }
 
+// mustPage returns the frame m maps at addr.
+func mustPage(t *testing.T, m *emu.Memory, addr uint64) *emu.Page {
+	t.Helper()
+	pg, ok := m.Page(addr)
+	if !ok {
+		t.Fatalf("no frame at %#x", addr)
+	}
+	return pg
+}
+
 func hasDiff(diffs []string, prefix string) bool {
 	for _, d := range diffs {
 		if strings.HasPrefix(d, prefix) {
@@ -171,6 +181,45 @@ func hasDiff(diffs []string, prefix string) bool {
 	return false
 }
 
+// checkReset resets p and requires every writable section and stack page
+// to equal fresh's, the dirty log to be empty and every frame Reset
+// restores to be clean again.
+func checkReset(t *testing.T, p, fresh *Process, when string) {
+	t.Helper()
+	p.Reset()
+	if d := resetDiffs(p, fresh); len(d) != 0 {
+		t.Fatalf("%s: after Reset differs from a fresh process in %v", when, d)
+	}
+	if n := len(p.dirtyLog.Drain()); n != 0 {
+		t.Fatalf("%s: Reset left %d frames in the dirty log", when, n)
+	}
+	for _, ts := range p.frames {
+		if ts[0].page.Dirty() {
+			t.Fatalf("%s: Reset left a restored frame dirty", when)
+		}
+	}
+}
+
+// mustWrite stores b at addr through m, as a guest store would.
+func mustWrite(t *testing.T, m *emu.Memory, addr uint64, b ...byte) {
+	t.Helper()
+	if fa, ok := m.Write(addr, b); !ok {
+		t.Fatalf("write fault at %#x", fa)
+	}
+}
+
+// requireDiffs fails unless every named section or stack prefix differs
+// from fresh: a case that dirtied nothing would prove nothing.
+func requireDiffs(t *testing.T, p, fresh *Process, when string, want ...string) {
+	t.Helper()
+	diffs := resetDiffs(p, fresh)
+	for _, w := range want {
+		if !hasDiff(diffs, w) {
+			t.Fatalf("%s: %q left untouched; the oracle would prove nothing (diffs %v)", when, w, diffs)
+		}
+	}
+}
+
 // TestResetMatchesFreshProcess is the oracle for the dirty-frame Reset: in
 // every emulator tier, after a guest has dirtied .data (including a page
 // tail and a page-straddling store), the deep stack, read(2) input, vector
@@ -178,7 +227,12 @@ func hasDiff(diffs []string, prefix string) bool {
 // signal handler, Reset must leave every writable section of every view
 // and every stack page byte-identical to a freshly built process. The
 // first Reset builds the restore list and restores everything; the later
-// ones restore only dirty frames, so those are the rounds under test. The
+// ones restore only the frames the dirty log recorded, so those are the
+// rounds under test. Direct writes then cover what one guest run does not:
+// a shared data frame dirtied through the second view while the stack is
+// dirtied through the first, one frame dirtied in two consecutive execs, a
+// dirtied frame followed by a remap (the full restore must drain the log),
+// and writes to frames outside the restore list before tracked ones. The
 // last rounds remap frames behind the process's back with contents the
 // dirty bits know nothing about, which a stale restore list would miss.
 func TestResetMatchesFreshProcess(t *testing.T) {
@@ -216,41 +270,77 @@ func TestResetMatchesFreshProcess(t *testing.T) {
 				if !gv.mem.Poke(img.Section(obj.SecSData).Addr+40, []byte{0x77}) {
 					t.Fatal("poke into .sdata failed")
 				}
-				diffs := resetDiffs(p, fresh)
-				for _, want := range []string{
+				requireDiffs(t, p, fresh, fmt.Sprintf("round %d", round),
 					fmt.Sprintf("%v %s", riscv.RV64GCV, obj.SecData),
 					fmt.Sprintf("%v %s", riscv.RV64GCV, obj.SecBSS),
 					fmt.Sprintf("%v %s", gc, obj.SecData),
 					fmt.Sprintf("%v %s", gc, obj.SecVRegFile),
 					fmt.Sprintf("%v %s", gc, obj.SecSData),
-					fmt.Sprintf("%v stack", riscv.RV64GCV),
-				} {
-					if !hasDiff(diffs, want) {
-						t.Fatalf("round %d: guest left %q untouched; the oracle would prove nothing (diffs %v)",
-							round, want, diffs)
-					}
-				}
-				p.Reset()
-				if d := resetDiffs(p, fresh); len(d) != 0 {
-					t.Fatalf("round %d: after Reset differs from a fresh process in %v", round, d)
-				}
+					fmt.Sprintf("%v stack", riscv.RV64GCV))
+				checkReset(t, p, fresh, fmt.Sprintf("round %d", round))
 			}
 			if mode.name == "traces" && p.CPU.Blocks.TracesBuilt == 0 {
 				t.Error("traces tier built no traces; the stores ran in a lower tier")
 			}
 
+			data := img.Section(obj.SecData)
+			dataName := fmt.Sprintf("%v %s", riscv.RV64GCV, obj.SecData)
+			stackName := fmt.Sprintf("%v stack", riscv.RV64GCV)
+			deepStack := obj.StackTop - obj.StackSize + 5*obj.PageSize
+
+			// A shared .data frame dirtied through the second view, the
+			// stack through the first.
+			if a, _ := p.first.mem.Page(data.Addr); a != mustPage(t, gv.mem, data.Addr) {
+				t.Fatal(".data's first frame is not shared between the views")
+			}
+			mustWrite(t, gv.mem, data.Addr+8, 0x11, 0x22)
+			mustWrite(t, p.first.mem, deepStack+16, 0x33)
+			requireDiffs(t, p, fresh, "shared frame", dataName, stackName)
+			checkReset(t, p, fresh, "shared frame via the second view")
+
+			// The same frame dirtied in two consecutive execs.
+			for exec := 0; exec < 2; exec++ {
+				mustWrite(t, p.first.mem, deepStack+24, byte(0x40+exec))
+				requireDiffs(t, p, fresh, "same frame", stackName)
+				checkReset(t, p, fresh, fmt.Sprintf("same frame, exec %d", exec))
+			}
+
+			// A dirtied frame, then a remap: the full restore must drain
+			// the log. The remap maps a frame outside the restore list.
+			untracked := obj.StackTop - obj.StackSize - 64*obj.PageSize
+			if _, ok := gv.mem.Page(untracked); ok {
+				t.Fatal("the untracked probe page is already mapped")
+			}
+			mustWrite(t, gv.mem, data.Addr+obj.PageSize+8, 0x55)
+			gv.mem.Map(untracked, obj.PageSize, obj.PermRW)
+			requireDiffs(t, p, fresh, "before remap", dataName)
+			checkReset(t, p, fresh, "dirtied frame then remap")
+
+			// Writes to frames outside the restore list — a fresh mapping
+			// and a same-bytes Poke into .text — come first; the tracked
+			// frames written after them must still be restored.
+			text := img.Text()
+			for round := 0; round < 2; round++ {
+				mustWrite(t, gv.mem, untracked+8, byte(0x60+round))
+				if !p.first.mem.Poke(text.Addr, text.Data[:4]) {
+					t.Fatal("poke into .text failed")
+				}
+				mustWrite(t, gv.mem, data.Addr+16, byte(0xA0+round))
+				mustWrite(t, p.first.mem, deepStack+32, byte(0x80+round))
+				requireDiffs(t, p, fresh, "untracked first", dataName, stackName)
+				checkReset(t, p, fresh, fmt.Sprintf("untracked frames first, round %d", round))
+			}
+			runDirtying(t, p, bytes.Repeat([]byte{0xDD}, 64))
+			checkReset(t, p, fresh, "a run after the untracked writes")
+
 			// MapPage: a clean frame holding garbage replaces a shared
 			// .data frame in the base-core view.
-			data := img.Section(obj.SecData)
 			garbage := &emu.Page{Perm: obj.PermRW}
 			for i := range garbage.Data {
 				garbage.Data[i] = 0xAB
 			}
 			gv.mem.MapPage(data.Addr+obj.PageSize, garbage)
-			p.Reset()
-			if d := resetDiffs(p, fresh); len(d) != 0 {
-				t.Fatalf("after MapPage: Reset differs from a fresh process in %v", d)
-			}
+			checkReset(t, p, fresh, "after MapPage")
 
 			// ShareFrom: the first view takes a stack frame from another
 			// address space, again clean but not zero.
@@ -260,17 +350,11 @@ func TestResetMatchesFreshProcess(t *testing.T) {
 			pg, _ := other.Page(deep)
 			pg.Data[17] = 0xCD
 			p.first.mem.ShareFrom(other, deep, obj.PageSize)
-			p.Reset()
-			if d := resetDiffs(p, fresh); len(d) != 0 {
-				t.Fatalf("after ShareFrom: Reset differs from a fresh process in %v", d)
-			}
+			checkReset(t, p, fresh, "after ShareFrom")
 
 			// The process still runs correctly from the restored state.
 			runDirtying(t, p, bytes.Repeat([]byte{0xEE}, 64))
-			p.Reset()
-			if d := resetDiffs(p, fresh); len(d) != 0 {
-				t.Fatalf("after a run on remapped frames: Reset differs in %v", d)
-			}
+			checkReset(t, p, fresh, "after a run on remapped frames")
 		})
 	}
 }

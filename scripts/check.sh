@@ -1,9 +1,11 @@
 #!/bin/sh
 # Pre-PR gate: formatting, vet, build (this module and the chimerabench
 # benchmark module), the full test suite under the race detector, the
-# warm-loop alloc, cold-rewrite alloc and nil-hook instrumentation overhead
-# gates, the coverage-guided campaign smoke, and short native-fuzz smokes
-# over the differential oracles and the decoders of untrusted bytes.
+# warm-loop alloc (emulator hot loops, fuzz exec cycle, havoc mutation),
+# cold-rewrite alloc and nil-hook instrumentation overhead gates, the
+# coverage-guided campaign smoke, and short native-fuzz smokes over the
+# differential oracles, the decoders of untrusted bytes and the POST /fuzz
+# request bodies.
 # Run from anywhere; it anchors itself at the repo root.
 set -eu
 cd "$(dirname "$0")/.."
@@ -36,11 +38,15 @@ echo "== robustness matrix smoke (adversarial corpus x every rewriter config, ba
 go run ./cmd/chimera-eval -baseline internal/evalmatrix/testdata/matrix_baseline.json >/dev/null
 echo "== bench smoke (1 iteration)"
 go test -run=- -bench=. -benchtime=1x ./... >/dev/null
-echo "== alloc gate (warm CPURun* hot loops and the warm fuzz exec cycle must not allocate)"
+echo "== alloc gate (warm CPURun* hot loops, the warm fuzz exec cycle and the havoc mutation step must not allocate)"
 ALLOC_RAW="$(mktemp)"
 go test -run=- -bench='BenchmarkCPURun' -benchtime=1x -benchmem ./internal/emu/ | tee "$ALLOC_RAW"
-go test -run=- -bench='BenchmarkFuzzExec' -benchtime=1x -benchmem ./internal/fuzzsvc/ | tee -a "$ALLOC_RAW"
-awk '/^Benchmark(CPURun|FuzzExec)/ {
+go test -run=- -bench='Benchmark(FuzzExec|Havoc)$' -benchtime=1x -benchmem ./internal/fuzzsvc/ | tee -a "$ALLOC_RAW"
+if [ "$(grep -c '^Benchmark\(FuzzExec\|Havoc\)' "$ALLOC_RAW")" -ne 2 ]; then
+    echo "alloc gate: want one BenchmarkFuzzExec and one BenchmarkHavoc row" >&2
+    exit 1
+fi
+awk '/^Benchmark(CPURun|FuzzExec|Havoc)/ {
     for (i = 2; i < NF; i++)
         if ($(i+1) == "allocs/op" && $i + 0 > 0) {
             printf "alloc gate: %s reports %s allocs/op, want 0\n", $1, $i > "/dev/stderr"
@@ -94,4 +100,5 @@ go test -run=- -fuzz=FuzzObjLoad -fuzztime=10s ./internal/obj >/dev/null
 go test -run=- -fuzz=FuzzDecodeEntry -fuzztime=10s ./internal/store >/dev/null
 go test -run=- -fuzz=FuzzUnmarshalTables -fuzztime=10s ./internal/chbp >/dev/null
 go test -run=- -fuzz=FuzzDisassemble -fuzztime=10s ./internal/dis >/dev/null
+go test -run=- -fuzz=FuzzFuzzBody -fuzztime=10s ./internal/service >/dev/null
 echo "== ok"
