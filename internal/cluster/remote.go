@@ -55,7 +55,8 @@ func NewRemote(base string, client *http.Client) *Remote {
 }
 
 // Get fetches key from the peer. Returns (entry, true, nil) on a verified
-// hit, (nil, false, nil) on a clean miss (404), and an error for anything
+// hit (its checksum sealed by DecodeEntry, so storing it locally hashes it
+// no further), (nil, false, nil) on a clean miss (404), and an error for anything
 // that should count against the peer's health: transport failures,
 // non-200/404 statuses, bodies that fail decode, or an entry whose key does
 // not match what was asked for.
@@ -98,7 +99,8 @@ func (r *Remote) Get(ctx context.Context, key string) (*store.Entry, bool, error
 }
 
 // Put offers an entry to the peer (fire-and-forget durability: the caller
-// does not depend on it succeeding).
+// does not depend on it succeeding). The body reuses the entry's sealed
+// checksum; the peer re-verifies it on receipt.
 func (r *Remote) Put(ctx context.Context, e *store.Entry) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPut, r.url(e.Key),
 		bytes.NewReader(store.EncodeEntry(e)))

@@ -45,36 +45,41 @@ func Decode(b []byte) (Inst, error) {
 	return Decode32(binary.LittleEndian.Uint32(b))
 }
 
-// Dense decode tables, hoisted so the hot decode path allocates nothing.
-type f3f7 struct{ a, b uint32 }
-
+// Dense decode tables: arrays indexed by funct3, or by funct3 and
+// funct7/funct6, where BAD (the zero Op) marks an encoding outside the
+// modelled subset. Lookups are one bounds-checked load, with no hashing.
 var (
-	branchByF3 = map[uint32]Op{0: BEQ, 1: BNE, 4: BLT, 5: BGE, 6: BLTU, 7: BGEU}
-	loadByF3   = map[uint32]Op{0: LB, 1: LH, 2: LW, 3: LD, 4: LBU, 5: LHU, 6: LWU}
-	storeByF3  = map[uint32]Op{0: SB, 1: SH, 2: SW, 3: SD}
-	opByKey    = map[f3f7]Op{
-		{0, 0x00}: ADD, {0, 0x20}: SUB, {1, 0x00}: SLL, {2, 0x00}: SLT,
-		{3, 0x00}: SLTU, {4, 0x00}: XOR, {5, 0x00}: SRL, {5, 0x20}: SRA,
-		{6, 0x00}: OR, {7, 0x00}: AND,
-		{0, 0x01}: MUL, {1, 0x01}: MULH, {2, 0x01}: MULHSU, {3, 0x01}: MULHU,
-		{4, 0x01}: DIV, {5, 0x01}: DIVU, {6, 0x01}: REM, {7, 0x01}: REMU,
-		{2, 0x10}: SH1ADD, {4, 0x10}: SH2ADD, {6, 0x10}: SH3ADD,
-		{7, 0x20}: ANDN, {6, 0x20}: ORN, {4, 0x20}: XNOR,
+	branchByF3 = [8]Op{0: BEQ, 1: BNE, 4: BLT, 5: BGE, 6: BLTU, 7: BGEU}
+	loadByF3   = [8]Op{0: LB, 1: LH, 2: LW, 3: LD, 4: LBU, 5: LHU, 6: LWU}
+	storeByF3  = [8]Op{0: SB, 1: SH, 2: SW, 3: SD}
+	// [funct3][funct7] of the OP major opcode.
+	opByKey = [8][128]Op{
+		0: {0x00: ADD, 0x20: SUB, 0x01: MUL},
+		1: {0x00: SLL, 0x01: MULH},
+		2: {0x00: SLT, 0x01: MULHSU, 0x10: SH1ADD},
+		3: {0x00: SLTU, 0x01: MULHU},
+		4: {0x00: XOR, 0x01: DIV, 0x10: SH2ADD, 0x20: XNOR},
+		5: {0x00: SRL, 0x20: SRA, 0x01: DIVU},
+		6: {0x00: OR, 0x01: REM, 0x10: SH3ADD, 0x20: ORN},
+		7: {0x00: AND, 0x01: REMU, 0x20: ANDN},
 	}
-	op32ByKey = map[f3f7]Op{
-		{0, 0x00}: ADDW, {0, 0x20}: SUBW, {1, 0x00}: SLLW,
-		{5, 0x00}: SRLW, {5, 0x20}: SRAW,
-		{0, 0x01}: MULW, {4, 0x01}: DIVW, {5, 0x01}: DIVUW,
-		{6, 0x01}: REMW, {7, 0x01}: REMUW,
+	// [funct3][funct7] of the OP-32 major opcode.
+	op32ByKey = [8][128]Op{
+		0: {0x00: ADDW, 0x20: SUBW, 0x01: MULW},
+		1: {0x00: SLLW},
+		4: {0x01: DIVW},
+		5: {0x00: SRLW, 0x20: SRAW, 0x01: DIVUW},
+		6: {0x01: REMW},
+		7: {0x01: REMUW},
 	}
-	// keyed as {funct3 category, funct6}
-	vByKey = map[f3f7]Op{
-		{opIVV, 0x00}: VADDVV, {opIVX, 0x00}: VADDVX,
-		{opMVV, 0x25}: VMULVV,
-		{opIVI, 0x17}: VMVVI, {opIVX, 0x17}: VMVVX, {opFVF, 0x17}: VFMVVF,
-		{opFVV, 0x00}: VFADDVV, {opFVV, 0x24}: VFMULVV,
-		{opFVV, 0x2C}: VFMACCVV, {opFVF, 0x2C}: VFMACCVF,
-		{opFVV, 0x10}: VFMVFS, {opFVV, 0x01}: VFREDUSUMVS,
+	// [funct3 category][funct6] of the OP-V major opcode.
+	vByKey = [8][64]Op{
+		opIVV: {0x00: VADDVV},
+		opIVX: {0x00: VADDVX, 0x17: VMVVX},
+		opMVV: {0x25: VMULVV},
+		opIVI: {0x17: VMVVI},
+		opFVV: {0x00: VFADDVV, 0x24: VFMULVV, 0x2C: VFMACCVV, 0x10: VFMVFS, 0x01: VFREDUSUMVS},
+		opFVF: {0x17: VFMVVF, 0x2C: VFMACCVF},
 	}
 )
 
@@ -112,20 +117,20 @@ func Decode32(w uint32) (Inst, error) {
 		}
 		return mk(JALR, rd, rs1, 0, immI)
 	case opBranch:
-		op, ok := branchByF3[f3]
-		if !ok {
+		op := branchByF3[f3]
+		if op == BAD {
 			return bad()
 		}
 		return mk(op, 0, rs1, rs2, immB)
 	case opLoad:
-		op, ok := loadByF3[f3]
-		if !ok {
+		op := loadByF3[f3]
+		if op == BAD {
 			return bad()
 		}
 		return mk(op, rd, rs1, 0, immI)
 	case opStore:
-		op, ok := storeByF3[f3]
-		if !ok {
+		op := storeByF3[f3]
+		if op == BAD {
 			return bad()
 		}
 		return mk(op, 0, rs1, rs2, immS)
@@ -176,14 +181,14 @@ func Decode32(w uint32) (Inst, error) {
 		}
 		return bad()
 	case opOp:
-		op, ok := opByKey[f3f7{f3, f7}]
-		if !ok {
+		op := opByKey[f3][f7]
+		if op == BAD {
 			return bad()
 		}
 		return mk(op, rd, rs1, rs2, 0)
 	case opOp32:
-		op, ok := op32ByKey[f3f7{f3, f7}]
-		if !ok {
+		op := op32ByKey[f3][f7]
+		if op == BAD {
 			return bad()
 		}
 		return mk(op, rd, rs1, rs2, 0)
@@ -303,8 +308,8 @@ func Decode32(w uint32) (Inst, error) {
 			return mk(VSETVLI, rd, rs1, 0, int64(w>>20&0x7FF))
 		}
 		funct6 := w >> 26 & 0x3F
-		op, ok := vByKey[f3f7{f3, funct6}]
-		if !ok {
+		op := vByKey[f3][funct6]
+		if op == BAD {
 			return bad()
 		}
 		inst := Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2, Len: 4}

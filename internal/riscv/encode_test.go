@@ -56,7 +56,7 @@ func TestEncodeKnownWords(t *testing.T) {
 func TestRoundTripAllOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for op := Op(1); op < numOps; op++ {
-		if _, ok := encTable[op]; !ok {
+		if encTable[op].fmt == fmtNone {
 			t.Fatalf("op %v missing from encTable", op)
 		}
 		for trial := 0; trial < 50; trial++ {

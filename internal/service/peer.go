@@ -20,7 +20,10 @@ import (
 // The handler only touches the local tiers (never the cluster), so peer
 // traffic cannot recurse. Offered entries are decode-verified before
 // storage; a corrupt or mismatched body is rejected, which means a faulty
-// peer can waste a round trip but never poison the store.
+// peer can waste a round trip but never poison the store. Each request
+// hashes its entry once: a PUT in DecodeEntry (both tiers reuse the sealed
+// sum), a GET in the local hit's verification (the body's header reuses
+// the stored entry's sealed sum).
 //
 // Chaos kinds PeerTimeout/PeerError/PeerCorrupt fire HERE, on the serving
 // side, so cluster soaks exercise the client's full failure handling over

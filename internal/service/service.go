@@ -696,9 +696,9 @@ func (s *Server) rewriteWithRetries(ctx context.Context, req *RewriteRequest, is
 			asp.End()
 			res := v.(*RewriteResult)
 			storeSpan := tr.Span("cache_store")
-			s.storeAdd(key, res)
+			e := s.storeAdd(key, res)
 			storeSpan.End()
-			s.offerToOwner(res)
+			s.offerToOwner(e)
 			s.brk.success(cfgKey)
 			return res, nil
 		}
@@ -812,16 +812,18 @@ func (s *Server) cacheGet(key string) (*RewriteResult, string, bool) {
 // storeAdd writes a fresh result through the tiers — and, under chaos, may
 // flip one bit of a private copy of the memory-resident entry so the next
 // hit exercises the verification/eviction path. In-flight responses keep
-// the pristine bytes.
-func (s *Server) storeAdd(key string, res *RewriteResult) {
+// the pristine bytes. It returns the sealed entry (nil if the result could
+// not be encoded) so the owner offer reuses its checksum.
+func (s *Server) storeAdd(key string, res *RewriteResult) *store.Entry {
 	e, err := entryFromResult(res)
 	if err != nil {
-		return
+		return nil
 	}
 	s.st.Put(e)
 	if inj := s.cfg.Chaos; inj.Roll(chaos.CacheCorrupt) {
 		s.st.Mem().Corrupt(key, inj.Intn)
 	}
+	return e
 }
 
 // peerFetch consults key's shard owner on a local miss. A verified peer
@@ -858,15 +860,11 @@ func (s *Server) peerFetch(ctx context.Context, key string) (*RewriteResult, boo
 // absorbed on failure — durability elsewhere is an optimization, never a
 // dependency. The goroutine is a panic boundary: a panic counts as a failed
 // offer and the shutdown drain still sees it finish.
-func (s *Server) offerToOwner(res *RewriteResult) {
-	if s.clu == nil {
+func (s *Server) offerToOwner(e *store.Entry) {
+	if s.clu == nil || e == nil {
 		return
 	}
-	if _, local := s.clu.Owner(res.Key); local {
-		return
-	}
-	e, err := entryFromResult(res)
-	if err != nil {
+	if _, local := s.clu.Owner(e.Key); local {
 		return
 	}
 	s.offers.Add(1)

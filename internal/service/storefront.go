@@ -54,13 +54,15 @@ type entryMeta struct {
 	Stats  rewriters.Stats `json:"stats"`
 }
 
-// entryFromResult renders a completed rewrite as a store entry.
+// entryFromResult renders a completed rewrite as a sealed store entry: its
+// checksum is computed here, once, on the caller's goroutine, and every
+// tier and peer offer it is written to reuses it.
 func entryFromResult(res *RewriteResult) (*store.Entry, error) {
 	meta, err := json.Marshal(entryMeta{Method: res.Method, Target: res.Target, Stats: res.Stats})
 	if err != nil {
 		return nil, fmt.Errorf("service: encoding entry meta: %w", err)
 	}
-	return &store.Entry{Key: res.Key, Meta: meta, Data: res.ImageBytes}, nil
+	return store.NewEntry(res.Key, meta, res.ImageBytes), nil
 }
 
 // resultFromEntry reconstructs the RewriteResult a stored entry encodes. The

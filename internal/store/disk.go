@@ -239,10 +239,11 @@ func (d *Disk) dropIfCurrent(key string, el *list.Element) {
 	}
 }
 
-// Put persists the entry: encode, write to a temp file in the target
-// fanout directory, fsync, rename into place, then index it and enforce
-// the budget. A failed write is counted and returned — callers with a
-// memory tier above treat it as non-fatal (the entry just is not durable).
+// Put persists the entry: encode (reusing a sealed checksum), write to a
+// temp file in the target fanout directory, fsync, rename into place, then
+// index it and enforce the budget. Nothing is hashed under the index lock.
+// A failed write is counted and returned — callers with a memory tier
+// above treat it as non-fatal (the entry just is not durable).
 func (d *Disk) Put(e *Entry) error {
 	d.mu.Lock()
 	if el, ok := d.entries[e.Key]; ok {
@@ -266,7 +267,7 @@ func (d *Disk) Put(e *Entry) error {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err == nil {
 			os.WriteFile(path, buf[:len(buf)/2], 0o644)
 		}
-		d.index(e)
+		d.index(e, path)
 		return nil
 	}
 	if err := d.writeAtomic(path, buf); err != nil {
@@ -274,7 +275,7 @@ func (d *Disk) Put(e *Entry) error {
 		d.met.Errors.Inc()
 		return err
 	}
-	d.index(e)
+	d.index(e, path)
 	return nil
 }
 
@@ -331,14 +332,14 @@ func (d *Disk) writeAtomic(path string, buf []byte) error {
 }
 
 // index records a committed file and enforces the byte budget.
-func (d *Disk) index(e *Entry) {
+func (d *Disk) index(e *Entry, path string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if el, dup := d.entries[e.Key]; dup {
 		d.ll.MoveToFront(el)
 		return
 	}
-	de := &diskEntry{key: e.Key, path: d.pathFor(e.Key), size: e.size()}
+	de := &diskEntry{key: e.Key, path: path, size: e.size()}
 	d.entries[e.Key] = d.ll.PushFront(de)
 	d.bytes += de.size
 	for d.bytes > d.budget && d.ll.Len() > 1 {

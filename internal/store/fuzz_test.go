@@ -8,9 +8,10 @@ import (
 
 // FuzzDecodeEntry hammers the entry codec the disk tier and the peer
 // protocol share. Properties: DecodeEntry never panics, every error it
-// returns is ErrCorrupt, and whatever it accepts re-encodes to exactly the
-// input bytes — so no two encodings decode to the same entry and a
-// verified entry can be shipped on unchanged.
+// returns is ErrCorrupt, whatever it accepts carries a sealed checksum that
+// is the hash of its bytes, and it re-encodes to exactly the input bytes —
+// so no two encodings decode to the same entry and a verified entry can be
+// shipped on unchanged.
 func FuzzDecodeEntry(f *testing.F) {
 	for _, e := range []*Entry{
 		testEntry("m=chbp;img=seed", 96, 1),
@@ -37,6 +38,9 @@ func FuzzDecodeEntry(f *testing.F) {
 				t.Fatalf("error %v does not match ErrCorrupt", err)
 			}
 			return
+		}
+		if !e.sealed || e.sum != e.Sum() {
+			t.Fatal("decoded entry's sealed checksum is not the hash of its bytes")
 		}
 		if got := EncodeEntry(e); !bytes.Equal(got, b) {
 			t.Fatalf("decoded entry re-encodes to %d different bytes (input %d)", len(got), len(b))

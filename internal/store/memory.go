@@ -11,14 +11,15 @@ import (
 // Memory is the in-memory LRU tier: entries under a byte budget, most
 // recently used at the front, every hit re-verified against its
 // insertion-time checksum. It is the service's original rewrite cache
-// extracted behind the Store interface, with one load-bearing change: the
-// SHA-256 verification of a hit happens OUTSIDE the mutex. Hashing a
-// multi-megabyte image takes long enough that doing it under the lock
-// serialized every concurrent hit; now the critical section is just the
-// map lookup and LRU splice, the hash runs unlocked on a snapshot, and a
-// detected mismatch re-acquires the lock and evicts only if the entry is
-// still the same one that was hashed (identity re-check, so a concurrent
-// replacement is never evicted by a stale verdict).
+// extracted behind the Store interface, with one load-bearing change: no
+// SHA-256 runs inside the mutex. Hashing a multi-megabyte image takes long
+// enough that doing it under the lock serialized every concurrent caller;
+// now the critical sections are just map lookups and LRU splices. Put
+// takes the entry's checksum (sealed, or computed) before locking. Get
+// hashes unlocked on a snapshot, and a detected mismatch re-acquires the
+// lock and evicts only if the entry is still the same one that was hashed
+// (identity re-check, so a concurrent replacement is never evicted by a
+// stale verdict).
 type Memory struct {
 	mu      sync.Mutex
 	budget  int64
@@ -29,12 +30,6 @@ type Memory struct {
 	hits, misses, evictions, corrupt atomic.Uint64
 
 	met Counters
-
-	// verifyUnderLock restores the pre-extraction behavior (hashing inside
-	// the critical section). Benchmark-only: it exists so
-	// BenchmarkMemoryHitParallel can measure what moving the hash out of
-	// the lock bought.
-	verifyUnderLock bool
 }
 
 // memEntry is one resident entry plus its insertion-time checksum.
@@ -68,16 +63,6 @@ func (m *Memory) Get(key string) (*Entry, bool) {
 	}
 	me := el.Value.(*memEntry)
 	m.ll.MoveToFront(el)
-	if m.verifyUnderLock {
-		defer m.mu.Unlock()
-		if !m.verify(me) {
-			m.removeElementLocked(el)
-			m.noteCorrupt()
-			return nil, false
-		}
-		m.noteHit()
-		return me.e, true
-	}
 	m.mu.Unlock()
 
 	// Verify outside the critical section: concurrent hits hash in
@@ -99,8 +84,9 @@ func (m *Memory) Get(key string) (*Entry, bool) {
 	return me.e, true
 }
 
-// verify recomputes the snapshot's checksum, timing it into the Verify
-// histogram when one is wired.
+// verify recomputes the snapshot's checksum from its bytes (never from a
+// sealed sum) and compares it with the insertion-time one, timing it into
+// the Verify histogram when one is wired.
 func (m *Memory) verify(me *memEntry) bool {
 	start := time.Now()
 	ok := me.e.Sum() == me.sum
@@ -124,14 +110,18 @@ func (m *Memory) noteCorrupt() {
 // byte budget holds. An entry larger than the whole budget is still kept
 // (alone) — dropping it would make identical requests miss forever.
 // Re-putting an existing key keeps the first copy and refreshes recency.
+// The checksum (sealed, or computed) is taken before the lock, so
+// concurrent Puts of fresh multi-megabyte entries never queue behind each
+// other's SHA-256.
 func (m *Memory) Put(e *Entry) error {
+	me := &memEntry{e: e, sum: e.checksum()}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if el, ok := m.entries[e.Key]; ok {
 		m.ll.MoveToFront(el)
 		return nil
 	}
-	m.entries[e.Key] = m.ll.PushFront(&memEntry{e: e, sum: e.Sum()})
+	m.entries[e.Key] = m.ll.PushFront(me)
 	m.bytes += e.size()
 	for m.bytes > m.budget && m.ll.Len() > 1 {
 		m.evictOldestLocked()
@@ -168,7 +158,8 @@ func (m *Memory) Corrupt(key string, pick func(n int) int) bool {
 	cp.Data = append([]byte(nil), me.e.Data...)
 	bit := pick(len(cp.Data) * 8)
 	cp.Data[bit/8] ^= 1 << (bit % 8)
-	// Keep the ORIGINAL checksum: the point is a mismatch on the next Get.
+	// Keep the ORIGINAL checksum, both as the insertion-time sum and as
+	// the copy's sealed one: the point is a mismatch on the next Get.
 	el.Value = &memEntry{e: &cp, sum: me.sum}
 	return true
 }

@@ -5,6 +5,13 @@
 // process, on this machine across restarts, or on a peer node — as long as
 // its bytes still match the checksum taken at insertion time.
 //
+// Each entry is hashed once on the write side, by whoever first makes or
+// receives its bytes: NewEntry seals the checksum of a fresh result, and
+// DecodeEntry seals the checksum it has just verified. Every later writer —
+// Memory.Put, Disk.Put, EncodeEntry, a peer offer, a disk-to-memory promote
+// — reuses the sealed sum, and none of them hashes while holding a store
+// lock. Every read-side check still recomputes the hash from the bytes.
+//
 // The package provides one interface, Store, and three implementations:
 //
 //   - Memory: the in-memory LRU under a byte budget (extracted from the
@@ -30,6 +37,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"github.com/eurosys26p57/chimera/internal/telemetry"
 )
@@ -37,17 +45,48 @@ import (
 // Entry is one stored rewrite result: the payload bytes (the rewritten
 // image in the obj wire format) plus a small opaque metadata sidecar (the
 // service serializes its per-rewrite stats there). Key is the content
-// address. Data and Meta must be treated as read-only once handed to a
-// Store — they may be shared with concurrent readers.
+// address. Key, Data and Meta must be treated as read-only once handed to
+// a Store — they may be shared with concurrent readers, and a sealed
+// checksum describes them as they were when it was sealed.
 type Entry struct {
 	Key  string
 	Meta []byte
 	Data []byte
+
+	// sum is the checksum sealed by NewEntry or DecodeEntry; sealed says
+	// it is set. Write paths reuse it (checksum); read-side verification
+	// never does.
+	sum    [sha256.Size]byte
+	sealed bool
 }
 
+// NewEntry returns an entry over key, meta and data with its checksum
+// sealed in, so that storing it in any number of tiers and shipping it to
+// a peer hash it no further. The slices must not change afterwards.
+func NewEntry(key string, meta, data []byte) *Entry {
+	e := &Entry{Key: key, Meta: meta, Data: data}
+	e.sum, e.sealed = e.Sum(), true
+	return e
+}
+
+// checksum is the write-side checksum: the sealed sum when there is one,
+// else a fresh Sum.
+func (e *Entry) checksum() [sha256.Size]byte {
+	if e.sealed {
+		return e.sum
+	}
+	return e.Sum()
+}
+
+// sums counts Sum calls; only tests read it, to pin how often each store
+// operation hashes.
+var sums atomic.Uint64
+
 // Sum is the entry's integrity checksum: SHA-256 over the length-framed
-// key, meta, and data. Every implementation verifies it on the read path.
+// key, meta, and data, always recomputed from the bytes. Every
+// implementation verifies it on the read path.
 func (e *Entry) Sum() [sha256.Size]byte {
+	sums.Add(1)
 	h := sha256.New()
 	var frame [8]byte
 	for _, part := range [][]byte{[]byte(e.Key), e.Meta, e.Data} {
@@ -138,9 +177,10 @@ var ErrCorrupt = errors.New("store: corrupt entry")
 //
 //	magic[8] | keyLen u32 | metaLen u32 | dataLen u64 | sum[32] | key | meta | data
 //
-// all integers little-endian, sum = Entry.Sum over the three parts.
+// all integers little-endian, sum = Entry.Sum over the three parts (the
+// sealed sum when the entry has one).
 func EncodeEntry(e *Entry) []byte {
-	sum := e.Sum()
+	sum := e.checksum()
 	buf := make([]byte, headerLen+int(e.size()))
 	copy(buf, entryMagic[:])
 	binary.LittleEndian.PutUint32(buf[8:], uint32(len(e.Key)))
@@ -157,8 +197,9 @@ func EncodeEntry(e *Entry) []byte {
 // DecodeEntry parses and VERIFIES an encoded entry: structural bounds
 // first, then the embedded SHA-256 over key, meta, and data. Any failure —
 // truncation, a flipped bit anywhere, hostile lengths — returns ErrCorrupt;
-// a decoded entry is exactly what EncodeEntry was given. The returned
-// entry aliases b's memory; callers that reuse b must copy first.
+// a decoded entry is exactly what EncodeEntry was given, and carries the
+// verified checksum sealed in. The returned entry aliases b's memory;
+// callers that reuse b must copy first.
 func DecodeEntry(b []byte) (*Entry, error) {
 	hdr, err := parseHeader(b)
 	if err != nil {
@@ -179,6 +220,7 @@ func DecodeEntry(b []byte) (*Entry, error) {
 	if e.Sum() != hdr.sum {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
+	e.sum, e.sealed = hdr.sum, true
 	return e, nil
 }
 

@@ -105,28 +105,34 @@ func TestMemoryLRU(t *testing.T) {
 
 // TestMemoryCorruptionEvicted: a corrupted entry fails verification on the
 // next Get (hashed OUTSIDE the lock), is evicted with an identity
-// re-check, and never reaches the caller.
+// re-check, and never reaches the caller — whether or not the entry was
+// put with a sealed checksum, which Get must never trust.
 func TestMemoryCorruptionEvicted(t *testing.T) {
-	m := NewMemory(1<<20, Counters{})
-	e := testEntry("k", 4096, 1)
-	m.Put(e)
-	pick := func(n int) int { return n / 2 }
-	if !m.Corrupt("k", pick) {
-		t.Fatal("corrupt found no entry")
-	}
-	if _, ok := m.Get("k"); ok {
-		t.Fatal("corrupted entry served")
-	}
-	if m.Len() != 0 {
-		t.Fatal("corrupted entry not evicted")
-	}
-	if st := m.Stats(); st.CorruptEvictions != 1 {
-		t.Fatalf("corrupt evictions %d, want 1", st.CorruptEvictions)
-	}
-	// The original slice handed to Put was never mutated (in-flight
-	// responses sharing it stay valid).
-	if !entriesEqual(e, testEntry("k", 4096, 1)) {
-		t.Fatal("corruption mutated the shared entry bytes")
+	for _, sealed := range []bool{false, true} {
+		m := NewMemory(1<<20, Counters{})
+		e := testEntry("k", 4096, 1)
+		if sealed {
+			e = NewEntry(e.Key, e.Meta, e.Data)
+		}
+		m.Put(e)
+		pick := func(n int) int { return n / 2 }
+		if !m.Corrupt("k", pick) {
+			t.Fatal("corrupt found no entry")
+		}
+		if _, ok := m.Get("k"); ok {
+			t.Fatalf("sealed=%t: corrupted entry served", sealed)
+		}
+		if m.Len() != 0 {
+			t.Fatalf("sealed=%t: corrupted entry not evicted", sealed)
+		}
+		if st := m.Stats(); st.CorruptEvictions != 1 {
+			t.Fatalf("sealed=%t: corrupt evictions %d, want 1", sealed, st.CorruptEvictions)
+		}
+		// The original slice handed to Put was never mutated (in-flight
+		// responses sharing it stay valid).
+		if !entriesEqual(e, testEntry("k", 4096, 1)) {
+			t.Fatal("corruption mutated the shared entry bytes")
+		}
 	}
 }
 

@@ -23,9 +23,11 @@ type TierCounters struct {
 
 // Tiered is memory over disk: Get checks memory first, then disk (a disk
 // hit is promoted into memory so the next lookup is fast); Put writes
-// through to both tiers. The disk tier is optional — with a nil Disk the
-// Tiered store is just the memory store with tier accounting, so the
-// service mounts one code path either way.
+// through to both tiers. Both tiers reuse the entry's sealed checksum, so
+// a Put of a NewEntry result and a promoted disk hit (sealed by
+// DecodeEntry) hash nothing here. The disk tier is optional — with a nil
+// Disk the Tiered store is just the memory store with tier accounting, so
+// the service mounts one code path either way.
 //
 // A failed disk write never fails the Put: the entry stays served from
 // memory and the failure is counted (it is a durability loss, not a

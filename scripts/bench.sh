@@ -2,8 +2,8 @@
 # Emulator benchmark harness: runs the BenchmarkCPURun* emulated-MIPS
 # benchmarks, the BenchmarkService*/BenchmarkRewriteBatch service suite, the
 # coverage-guided campaign throughput benchmark (whole fuzzing execs/s), the
-# store hit-path benchmarks (memory-tier verified hits, disk-store hit
-# latency), and the BenchmarkResolve rewriter-config rows (runtime-rewrite
+# store benchmarks (memory-tier verified hits and cold Puts at 1 and 2
+# CPUs, a decoded entry's Put, disk-store hit latency), and the BenchmarkResolve rewriter-config rows (runtime-rewrite
 # fault rate and per-task p50/p99 with the indirect-target resolver off vs
 # on), and distills the results into BENCH_emu.json (per benchmark: ns/op,
 # emulated MIPS, ns per retired instruction, allocs/op, MB/s, batch
@@ -35,8 +35,13 @@ echo "== go test -bench Service|RewriteBatch (internal/service)"
 go test -run=- -bench='BenchmarkService|BenchmarkRewriteBatch' -benchmem -benchtime 1x \
     ./internal/service/ | tee -a "$RAW"
 
-echo "== go test -bench store hit paths (internal/store, -benchtime $BENCHTIME)"
-go test -run=- -bench='BenchmarkMemoryHitParallel|BenchmarkDiskStoreHit' -benchmem \
+# The memory-tier rows run at -cpu 1,2: both hashes (hit verification and
+# the Put-side checksum) run outside the store mutex, so throughput should
+# scale with CPUs. Their rows are named <benchmark>/cpu=<n>.
+echo "== go test -bench store paths (internal/store, -benchtime $BENCHTIME)"
+go test -run=- -bench='BenchmarkMemory(Hit|Put)Parallel' -benchmem \
+    -cpu 1,2 -benchtime "$BENCHTIME" ./internal/store/ | tee -a "$RAW"
+go test -run=- -bench='BenchmarkDecodePut|BenchmarkDiskStoreHit' -benchmem \
     -benchtime "$BENCHTIME" ./internal/store/ | tee -a "$RAW"
 
 # The resolver rows are simulated-cycle metrics (fault rate, per-task
@@ -54,7 +59,9 @@ go test -run=- -bench='BenchmarkResolve' -benchtime 1x \
 awk '
 BEGIN { print "{"; print "  \"benchmarks\": ["; n = 0 }
 /^Benchmark/ {
-    name = $1; sub(/-[0-9]+$/, "", name)
+    name = $1; procs = 1
+    if (match(name, /-[0-9]+$/)) { procs = substr(name, RSTART + 1); name = substr(name, 1, RSTART - 1) }
+    if (name ~ /^BenchmarkMemory(Hit|Put)Parallel$/) name = name "/cpu=" procs
     nsop = ""; mips = ""; nsinst = ""; allocs = ""; mbs = ""; items = ""
     faults = ""; avoided = ""; crashed = ""; p50 = ""; p99 = ""; execs = ""
     for (i = 2; i < NF; i++) {
