@@ -163,8 +163,7 @@ func printResolved(ts *resolve.TargetSet, symAt map[uint64]string) {
 func writeDot(w *os.File, g *cfg.Graph, symAt map[uint64]string) {
 	fmt.Fprintln(w, "digraph cfg {")
 	fmt.Fprintln(w, "  node [shape=box, fontname=\"monospace\"];")
-	for _, start := range g.Order {
-		b := g.Blocks[start]
+	for _, b := range g.Blocks {
 		label := fmt.Sprintf("%#x..%#x", b.Start, b.End(g.Dis))
 		if name, ok := symAt[b.Start]; ok {
 			label = name + "\\n" + label
@@ -175,16 +174,17 @@ func writeDot(w *os.File, g *cfg.Graph, symAt map[uint64]string) {
 		}
 		fmt.Fprintf(w, "  b%x [%s];\n", b.Start, strings.Join(attrs, ", "))
 
-		resolved := make(map[uint64]bool, len(b.ResolvedTargets))
+		resolved := make(map[int]bool, len(b.ResolvedTargets))
 		for _, t := range b.ResolvedTargets {
-			start, _ := g.BlockOf(t)
-			resolved[start] = true
+			if j, ok := g.BlockOf(t); ok {
+				resolved[j] = true
+			}
 		}
 		for _, s := range b.Succs {
 			if resolved[s] {
-				fmt.Fprintf(w, "  b%x -> b%x [style=dashed, penwidth=2, color=blue];\n", b.Start, s)
+				fmt.Fprintf(w, "  b%x -> b%x [style=dashed, penwidth=2, color=blue];\n", b.Start, g.Blocks[s].Start)
 			} else {
-				fmt.Fprintf(w, "  b%x -> b%x;\n", b.Start, s)
+				fmt.Fprintf(w, "  b%x -> b%x;\n", b.Start, g.Blocks[s].Start)
 			}
 		}
 	}

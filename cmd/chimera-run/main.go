@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"github.com/eurosys26p57/chimera/internal/emu"
+	"github.com/eurosys26p57/chimera/internal/instrument"
 	"github.com/eurosys26p57/chimera/internal/kernel"
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/riscv"
@@ -78,16 +79,17 @@ func main() {
 	}
 	p.CPU.ISA = isa
 	p.CPU.TraceThreshold = uint32(*traceThreshold)
-	var prof *telemetry.GuestProfiler
+	var prof *instrument.Profile
 	var syms *telemetry.SymTable
 	if *profile {
-		prof = telemetry.NewGuestProfiler()
-		p.CPU.Prof = prof
+		prof = instrument.NewProfile()
+		p.Hooks().Prof = prof
+		p.CPU.RefreshHooks()
 		imgs := []*obj.Image{img}
 		for _, v := range variants[1:] {
 			imgs = append(imgs, v.Image)
 		}
-		syms = emu.SymTableOf(imgs...)
+		syms = telemetry.SymTableOf(imgs...)
 	}
 
 	var total uint64
@@ -126,13 +128,13 @@ func main() {
 	}
 	if *profile {
 		fmt.Printf("\n[guest profile: %d distinct blocks]\n", prof.Blocks())
-		prof.WriteTable(os.Stdout, syms, *top)
+		telemetry.WriteTable(os.Stdout, prof, syms, *top)
 		if *folded != "" {
 			f, err := os.Create(*folded)
 			if err != nil {
 				fatal(err)
 			}
-			prof.FoldedStacks(f, img.Name, syms)
+			telemetry.FoldedStacks(f, img.Name, prof, syms)
 			if err := f.Close(); err != nil {
 				fatal(err)
 			}

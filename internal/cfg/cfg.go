@@ -3,6 +3,10 @@
 // control flow: a block ending in an unresolved jalr has HasIndirect set
 // and no static successors, which downstream analyses (liveness, exit
 // register selection) must treat as "anything may be live" (§4.2).
+//
+// The graph is indexed by position in dis.Result.Order, with no address
+// maps: blocks are a slice in address order, each naming its run of Order
+// positions, and successor edges are block indices.
 package cfg
 
 import (
@@ -14,10 +18,11 @@ import (
 // Block is a maximal straight-line run of instructions.
 type Block struct {
 	Start uint64
-	// Addrs lists the instruction addresses in order.
-	Addrs []uint64
-	// Succs are the statically-known successor block start addresses.
-	Succs []uint64
+	// First and Last are the positions in Dis.Order of the block's first
+	// and last instruction: the block is Dis.Order[First : Last+1].
+	First, Last int
+	// Succs are the statically-known successors, as indices in Graph.Blocks.
+	Succs []int
 	// HasIndirect marks a block whose terminator is an unresolved indirect
 	// jump (jalr): its successor set is incomplete.
 	HasIndirect bool
@@ -28,37 +33,35 @@ type Block struct {
 	// Liveness treats returns with ABI knowledge instead of all-live.
 	IsRet bool
 	// ResolvedTargets lists the statically recovered High-confidence
-	// targets of the block's indirect terminator (BuildResolved). They
-	// are also appended to Succs, completing the edge set; HasIndirect
-	// stays true so liveness remains conservative about the site.
+	// targets of the block's indirect terminator (BuildResolved). Their
+	// blocks join Succs, completing the edge set; HasIndirect stays true so
+	// liveness remains conservative about the site.
 	ResolvedTargets []uint64
 }
 
 // End returns the address one past the final instruction.
-func (b *Block) End(d *dis.Result) uint64 {
-	last := b.Addrs[len(b.Addrs)-1]
-	in, _ := d.At(last)
-	return last + uint64(in.Len)
-}
+func (b *Block) End(d *dis.Result) uint64 { return d.Order[b.Last].End() }
 
 // Graph is the control-flow graph of an image.
 type Graph struct {
-	Blocks map[uint64]*Block // keyed by start address
-	// Order lists block starts ascending (blocks are cut in address order).
-	Order []uint64
-	Dis   *dis.Result
-	// blockOf holds, per position in Dis.Order, the start of the block
+	// Blocks lists the blocks in ascending address order.
+	Blocks []Block
+	Dis    *dis.Result
+	// blockOf holds, per position in Dis.Order, the index of the block
 	// holding that instruction.
-	blockOf []uint64
+	blockOf []int32
 }
 
-// BlockOf returns the start of the block holding the instruction at addr.
-func (g *Graph) BlockOf(addr uint64) (uint64, bool) {
+// BlockAt returns the index of the block holding Dis.Order[i].
+func (g *Graph) BlockAt(i int) int { return int(g.blockOf[i]) }
+
+// BlockOf returns the index of the block holding the instruction at addr.
+func (g *Graph) BlockOf(addr uint64) (int, bool) {
 	i, ok := g.Dis.Index(addr)
 	if !ok {
 		return 0, false
 	}
-	return g.blockOf[i], true
+	return int(g.blockOf[i]), true
 }
 
 // Build constructs the CFG from a disassembly.
@@ -74,10 +77,7 @@ func Build(d *dis.Result) *Graph {
 	for _, x := range d.Order {
 		addr, in := x.Addr, x.Inst
 		switch {
-		case in.Op == riscv.JAL:
-			mark(addr + uint64(in.Imm))
-			mark(addr + uint64(in.Len))
-		case in.IsBranch():
+		case in.Op == riscv.JAL, in.IsBranch():
 			mark(addr + uint64(in.Imm))
 			mark(addr + uint64(in.Len))
 		case in.Op == riscv.JALR:
@@ -90,72 +90,71 @@ func Build(d *dis.Result) *Graph {
 	for _, root := range d.Roots {
 		mark(root)
 	}
-
-	g := &Graph{
-		Blocks:  make(map[uint64]*Block),
-		Dis:     d,
-		blockOf: make([]uint64, len(d.Order)),
+	// fallsIntoLeader reports whether the instruction at position i runs
+	// straight into a recognized leader.
+	fallsIntoLeader := func(i int) bool {
+		j, ok := d.Index(d.Order[i].End())
+		return ok && leader[j]
 	}
 
-	var cur *Block
-	for i, x := range d.Order {
-		addr, in := x.Addr, x.Inst
-		// A gap in recognized addresses also starts a new block.
-		gap := i > 0 && d.Order[i-1].End() != addr
-		if cur == nil || leader[i] || gap {
-			cur = &Block{Start: addr}
-			g.Blocks[addr] = cur
-			g.Order = append(g.Order, addr)
-		}
-		cur.Addrs = append(cur.Addrs, addr)
-		g.blockOf[i] = cur.Start
+	g := &Graph{Dis: d, blockOf: make([]int32, len(d.Order))}
 
-		endsBlock := false
+	// Cut blocks: a control transfer, or a fallthrough into a leader, ends
+	// a block; a leader or a gap in recognized addresses starts one.
+	ended := true
+	for i, x := range d.Order {
+		if ended || leader[i] || d.Order[i-1].End() != x.Addr {
+			g.Blocks = append(g.Blocks, Block{Start: x.Addr, First: i})
+		}
+		b := len(g.Blocks) - 1
+		g.Blocks[b].Last = i
+		g.blockOf[i] = int32(b)
+		switch in := x.Inst; {
+		case in.Op == riscv.JAL, in.Op == riscv.JALR, in.IsBranch():
+			ended = true
+		default:
+			ended = fallsIntoLeader(i)
+		}
+	}
+
+	// Edges from each block's terminator, kept only where they land in
+	// recognized code (on the block holding the target). All blocks' edges
+	// share one backing array.
+	edges := make([]int, 0, 2*len(g.Blocks))
+	edge := func(target uint64) {
+		if j, ok := d.Index(target); ok {
+			edges = append(edges, int(g.blockOf[j]))
+		}
+	}
+	for bi := range g.Blocks {
+		b := &g.Blocks[bi]
+		lo := len(edges)
+		addr, in := d.Order[b.Last].Addr, d.Order[b.Last].Inst
 		switch {
 		case in.Op == riscv.JAL:
 			if in.Rd == riscv.RA {
-				cur.IsCallSite = true
-				cur.Succs = append(cur.Succs, addr+uint64(in.Len))
+				b.IsCallSite = true
+				edge(addr + uint64(in.Len))
 			} else {
-				cur.Succs = append(cur.Succs, addr+uint64(in.Imm))
+				edge(addr + uint64(in.Imm))
 			}
-			endsBlock = true
 		case in.Op == riscv.JALR:
 			if in.Rd == riscv.RA {
-				cur.IsCallSite = true
-				cur.Succs = append(cur.Succs, addr+uint64(in.Len))
+				b.IsCallSite = true
+				edge(addr + uint64(in.Len))
 			} else if in.Rd == riscv.Zero && in.Rs1 == riscv.RA && in.Imm == 0 {
-				cur.IsRet = true
+				b.IsRet = true
 			}
-			cur.HasIndirect = true
-			endsBlock = true
+			b.HasIndirect = true
 		case in.IsBranch():
-			cur.Succs = append(cur.Succs, addr+uint64(in.Imm), addr+uint64(in.Len))
-			endsBlock = true
+			edge(addr + uint64(in.Imm))
+			edge(addr + uint64(in.Len))
 		default:
-			// Fallthrough into a leader ends the block with one successor.
-			next := addr + uint64(in.Len)
-			if j, ok := d.Index(next); ok && leader[j] {
-				cur.Succs = append(cur.Succs, next)
-				endsBlock = true
+			if fallsIntoLeader(b.Last) {
+				edge(addr + uint64(in.Len))
 			}
 		}
-		if endsBlock {
-			cur = nil
-		}
-	}
-
-	// Prune successors that point outside recognized code.
-	for _, b := range g.Blocks {
-		kept := b.Succs[:0]
-		for _, s := range b.Succs {
-			if _, ok := g.Blocks[s]; ok {
-				kept = append(kept, s)
-			} else if start, ok := g.BlockOf(s); ok {
-				kept = append(kept, start)
-			}
-		}
-		b.Succs = kept
+		b.Succs = edges[lo:len(edges):len(edges)]
 	}
 	return g
 }
@@ -163,57 +162,43 @@ func Build(d *dis.Result) *Graph {
 // BuildResolved constructs the CFG and completes indirect successor
 // edges from a resolver TargetSet: for every block whose terminator is
 // an exhaustive High-confidence site, the recovered targets become real
-// successor edges (deduplicated, remapped to block leaders like every
-// other edge). The disassembly should be the TargetSet's completed one
-// (resolve.TargetSet.Dis) so the targets exist as blocks.
+// successor edges (deduplicated, landing on the block holding each target
+// like every other edge). The disassembly should be the TargetSet's
+// completed one (resolve.TargetSet.Dis) so the targets exist as blocks.
 func BuildResolved(d *dis.Result, ts *resolve.TargetSet) *Graph {
 	g := Build(d)
 	if ts == nil {
 		return g
 	}
-	for _, b := range g.Blocks {
-		if !b.HasIndirect || len(b.Addrs) == 0 {
+	// succOf[j] == bi+1 marks block j as already a successor of block bi.
+	var succOf []int32
+	for bi := range g.Blocks {
+		b := &g.Blocks[bi]
+		if !b.HasIndirect {
 			continue
 		}
-		site := ts.Site(b.Addrs[len(b.Addrs)-1])
+		site := ts.Site(d.Order[b.Last].Addr)
 		if site == nil || !site.Exhaustive {
 			continue
 		}
-		have := make(map[uint64]bool, len(b.Succs))
+		if succOf == nil {
+			succOf = make([]int32, len(g.Blocks))
+		}
+		mark := int32(bi + 1)
 		for _, s := range b.Succs {
-			have[s] = true
+			succOf[s] = mark
 		}
 		for _, tgt := range site.HighTargets() {
-			start, ok := g.BlockOf(tgt)
+			j, ok := g.BlockOf(tgt)
 			if !ok {
 				continue
 			}
 			b.ResolvedTargets = append(b.ResolvedTargets, tgt)
-			if !have[start] {
-				have[start] = true
-				b.Succs = append(b.Succs, start)
+			if succOf[j] != mark {
+				succOf[j] = mark
+				b.Succs = append(b.Succs, j)
 			}
 		}
 	}
 	return g
-}
-
-// BlockContaining returns the block holding the instruction at addr.
-func (g *Graph) BlockContaining(addr uint64) (*Block, bool) {
-	start, ok := g.BlockOf(addr)
-	if !ok {
-		return nil, false
-	}
-	return g.Blocks[start], true
-}
-
-// Preds computes the predecessor map (lazy, for analyses that need it).
-func (g *Graph) Preds() map[uint64][]uint64 {
-	preds := make(map[uint64][]uint64, len(g.Blocks))
-	for start, b := range g.Blocks {
-		for _, s := range b.Succs {
-			preds[s] = append(preds[s], start)
-		}
-	}
-	return preds
 }

@@ -41,12 +41,23 @@ func TestBasicBlocks(t *testing.T) {
 	if len(g.Blocks) < 4 {
 		t.Fatalf("blocks = %d, want >= 4", len(g.Blocks))
 	}
+	// Blocks are in address order and tile Dis.Order.
+	next := 0
+	for i, b := range g.Blocks {
+		if b.First != next || b.Last < b.First || g.Dis.Order[b.First].Addr != b.Start {
+			t.Fatalf("block %d = %+v, want it to start at position %d", i, b, next)
+		}
+		next = b.Last + 1
+	}
+	if next != len(g.Dis.Order) {
+		t.Fatalf("blocks cover %d of %d instructions", next, len(g.Dis.Order))
+	}
 	// The loop block must have itself as a successor.
 	var loopBlock *Block
-	for _, b := range g.Blocks {
-		for _, s := range b.Succs {
-			if s == b.Start {
-				loopBlock = b
+	for i := range g.Blocks {
+		for _, s := range g.Blocks[i].Succs {
+			if s == i {
+				loopBlock = &g.Blocks[i]
 			}
 		}
 	}
@@ -54,10 +65,11 @@ func TestBasicBlocks(t *testing.T) {
 		t.Fatal("no self-loop block found")
 	}
 	// leaf ends in ret: indirect, no successors.
-	leaf, ok := g.Blocks[labels["leaf"]]
-	if !ok {
+	li, ok := g.BlockOf(labels["leaf"])
+	if !ok || g.Blocks[li].Start != labels["leaf"] {
 		t.Fatal("leaf is not a block leader")
 	}
+	leaf := g.Blocks[li]
 	if !leaf.HasIndirect || len(leaf.Succs) != 0 {
 		t.Errorf("leaf block: indirect=%v succs=%v", leaf.HasIndirect, leaf.Succs)
 	}
@@ -66,9 +78,9 @@ func TestBasicBlocks(t *testing.T) {
 func TestCallSiteBlocks(t *testing.T) {
 	g, _ := buildGraph(t)
 	var callBlock *Block
-	for _, b := range g.Blocks {
-		if b.IsCallSite {
-			callBlock = b
+	for i := range g.Blocks {
+		if g.Blocks[i].IsCallSite {
+			callBlock = &g.Blocks[i]
 		}
 	}
 	if callBlock == nil {
@@ -82,48 +94,41 @@ func TestCallSiteBlocks(t *testing.T) {
 
 func TestBlockOfAndPreds(t *testing.T) {
 	g, labels := buildGraph(t)
-	for _, in := range g.Dis.Order {
-		addr := in.Addr
-		start, ok := g.BlockOf(addr)
+	for pos, in := range g.Dis.Order {
+		b, ok := g.BlockOf(in.Addr)
 		if !ok {
-			t.Fatalf("BlockOf[%#x] missing for a recognized instruction", addr)
+			t.Fatalf("BlockOf[%#x] missing for a recognized instruction", in.Addr)
 		}
-		b := g.Blocks[start]
-		found := false
-		for _, a := range b.Addrs {
-			if a == addr {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("BlockOf[%#x] = %#x but block does not contain it", addr, start)
+		if blk := g.Blocks[b]; pos < blk.First || pos > blk.Last || g.BlockAt(pos) != b {
+			t.Fatalf("BlockOf[%#x] = block %d %+v, which does not hold position %d", in.Addr, b, blk, pos)
 		}
 	}
-	preds := g.Preds()
 	// The loop head has two predecessors: entry fallthrough and itself.
-	var loopStart uint64
-	for _, b := range g.Blocks {
+	preds := make([]int, len(g.Blocks))
+	loop := -1
+	for i, b := range g.Blocks {
 		for _, s := range b.Succs {
-			if s == b.Start {
-				loopStart = s
+			preds[s]++
+			if s == i {
+				loop = i
 			}
 		}
 	}
-	if n := len(preds[loopStart]); n != 2 {
-		t.Errorf("loop head preds = %d, want 2", n)
+	if loop < 0 || preds[loop] != 2 {
+		t.Errorf("loop head %d preds = %v, want 2", loop, preds)
 	}
-	if _, ok := g.BlockContaining(labels["main"]); !ok {
-		t.Error("BlockContaining(main) failed")
+	if _, ok := g.BlockOf(labels["main"]); !ok {
+		t.Error("BlockOf(main) failed")
 	}
-	if _, ok := g.BlockContaining(0xdead); ok {
-		t.Error("BlockContaining of junk succeeded")
+	if _, ok := g.BlockOf(0xdead); ok {
+		t.Error("BlockOf of junk succeeded")
 	}
 }
 
 func TestBlockEnd(t *testing.T) {
 	g, labels := buildGraph(t)
-	leaf := g.Blocks[labels["leaf"]]
-	end := leaf.End(g.Dis)
+	li, _ := g.BlockOf(labels["leaf"])
+	end := g.Blocks[li].End(g.Dis)
 	if end != labels["leaf"]+4 { // single ret
 		t.Errorf("leaf end = %#x, want %#x", end, labels["leaf"]+4)
 	}

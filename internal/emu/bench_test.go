@@ -21,7 +21,6 @@ import (
 	"github.com/eurosys26p57/chimera/internal/kernel"
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/riscv"
-	"github.com/eurosys26p57/chimera/internal/telemetry"
 	"github.com/eurosys26p57/chimera/internal/workload"
 )
 
@@ -142,10 +141,11 @@ func BenchmarkCPURunMatmulRVV(b *testing.B) {
 }
 
 // BenchmarkCPURunProfiler measures the guest profiler's cost on the block
-// engine's hot loop: "off" is the production default (one nil check per
-// block dispatch), "on" pays a map update per dispatch. scripts/bench.sh
-// derives profiler_overhead_pct from the two ns/inst numbers; the off case
-// must stay within noise of the pre-profiler baseline.
+// engine's hot loop: "off" is the production default (no hooks), "on"
+// installs Hooks.Prof and pays one indexed counter add per dispatch.
+// scripts/bench.sh derives profiler_overhead_pct from the two ns/inst
+// numbers; the off case must stay within noise of the pre-profiler
+// baseline.
 func BenchmarkCPURunProfiler(b *testing.B) {
 	img, err := workload.Matmul(24, false, true)
 	if err != nil {
@@ -163,7 +163,7 @@ func BenchmarkCPURunProfiler(b *testing.B) {
 			// with the pre-trace baseline (per-block attribution).
 			cpu.TraceThreshold = 0
 			if mode.prof {
-				cpu.Prof = telemetry.NewGuestProfiler()
+				cpu.SetHooks(&instrument.Hooks{Prof: instrument.NewProfile()})
 			}
 			warmStable(cpu.TraceThreshold, func() emu.BlockStats { return cpu.Blocks }, func() {
 				cpu.Reset(img)

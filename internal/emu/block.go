@@ -52,11 +52,13 @@ const (
 // Observer-mask bits (CPU.obs, block.obs, trace.obs) and per-µop hook
 // flags. Cmp and Mem observer participation is burned into µops at build
 // time so a nil observer set compiles to the exact µop stream an
-// uninstrumented CPU builds; the coverage observer fires per dispatch and
-// needs neither a mask bit nor µop changes.
+// uninstrumented CPU builds. hookProf is a mask bit only (never a µop
+// flag): blocks built before the profiler was installed rebuild to take a
+// counter slot. Coverage needs neither a mask bit nor µop changes.
 const (
-	hookCmp uint8 = 1 << iota // log branch operands to Hooks.Cmp
-	hookMem                   // log integer load/store accesses to Hooks.Mem
+	hookCmp  uint8 = 1 << iota // log branch operands to Hooks.Cmp
+	hookMem                    // log integer load/store accesses to Hooks.Mem
+	hookProf                   // block carries a Hooks.Prof counter slot
 )
 
 // covIDOf hashes a block start pc into its stable coverage ID. Edge indices
@@ -175,6 +177,7 @@ type block struct {
 	cost   *CostModel
 	obs    uint8  // observer mask the µops were built under
 	covID  uint32 // stable coverage ID (covIDOf(pc)), computed at build
+	prof   int32  // Hooks.Prof counter slot, assigned at build under hookProf
 	uops   []uop
 
 	// Frame validity: the code frames the block's bytes live in, with their
@@ -429,6 +432,9 @@ func (c *CPU) buildBlock(start uint64) *block {
 			b.pg1, b.pgen1 = pg1, pg1.gen
 		}
 	}
+	if h := c.Hooks; h != nil && h.Prof != nil {
+		b.prof = h.Prof.Slot(start)
+	}
 	return b
 }
 
@@ -499,26 +505,28 @@ func (c *CPU) runBlocks(limit uint64) Stop {
 					c.Blocks.Retired += retired
 					c.Blocks.TraceRetired += retired
 					remaining -= retired
-					if c.Prof != nil {
-						c.Prof.Sample(blk.pc, retired, c.Cycles-cyclesBefore)
-					}
-					if h := c.Hooks; h != nil && h.Cov != nil {
-						// Record an edge for every stitched block the trace
-						// actually entered, in stitch order, for exact parity
-						// with block-tier dispatch. Block k was entered iff
-						// its first µop started executing: its start index is
-						// below the retired count — or equal to it when the
-						// run halted, since the halting µop (ecall, fault)
-						// started without retiring.
-						limit := retired
-						if halted {
-							limit++
-						}
-						h.Cov.Edge(t.covIDs[0])
-						for k := 1; k < len(t.covIDs); k++ {
-							if uint64(t.covStarts[k]) < limit {
-								h.Cov.Edge(t.covIDs[k])
+					if h := c.Hooks; h != nil {
+						if h.Cov != nil {
+							// An edge per stitched block the trace entered,
+							// in stitch order, as block-tier dispatch would
+							// record: block k was entered iff its start
+							// index is below the retired count, or equal to
+							// it when the run halted (the halting µop
+							// started without retiring).
+							limit := retired
+							if halted {
+								limit++
 							}
+							h.Cov.Edge(t.covIDs[0])
+							for k := 1; k < len(t.covIDs); k++ {
+								if uint64(t.covStarts[k]) < limit {
+									h.Cov.Edge(t.covIDs[k])
+								}
+							}
+						}
+						// One profile sample, keyed by the head block.
+						if h.Prof != nil && !h.Prof.Add(blk.prof, blk.pc, retired, c.Cycles-cyclesBefore) {
+							c.reslot(blk, retired, c.Cycles-cyclesBefore)
 						}
 					}
 					if halted {
@@ -547,9 +555,6 @@ func (c *CPU) runBlocks(limit uint64) Stop {
 				}
 			}
 		}
-		if h := c.Hooks; h != nil && h.Cov != nil {
-			h.Cov.Edge(blk.covID)
-		}
 		before := c.Instret
 		cyclesBefore := c.Cycles
 		stop, halted, exit := c.execUops(blk.uops, remaining)
@@ -557,8 +562,13 @@ func (c *CPU) runBlocks(limit uint64) Stop {
 		c.Blocks.Dispatches++
 		c.Blocks.Retired += retired
 		remaining -= retired
-		if c.Prof != nil {
-			c.Prof.Sample(blk.pc, retired, c.Cycles-cyclesBefore)
+		if h := c.Hooks; h != nil {
+			if h.Cov != nil {
+				h.Cov.Edge(blk.covID)
+			}
+			if h.Prof != nil && !h.Prof.Add(blk.prof, blk.pc, retired, c.Cycles-cyclesBefore) {
+				c.reslot(blk, retired, c.Cycles-cyclesBefore)
+			}
 		}
 		if halted {
 			return stop
@@ -566,6 +576,14 @@ func (c *CPU) runBlocks(limit uint64) Stop {
 		prev, prevExit = blk, exit
 	}
 	return Stop{Kind: StopLimit}
+}
+
+// reslot records a dispatch Hooks.Prof.Add refused: blk was translated
+// under another Profile, so it takes a slot in this one first.
+func (c *CPU) reslot(blk *block, retired, cycles uint64) {
+	p := c.Hooks.Prof
+	blk.prof = p.Slot(blk.pc)
+	p.Add(blk.prof, blk.pc, retired, cycles)
 }
 
 // flushUops publishes locally-accumulated retirement state: uops

@@ -9,7 +9,6 @@ import (
 	"github.com/eurosys26p57/chimera/internal/instrument"
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/riscv"
-	"github.com/eurosys26p57/chimera/internal/telemetry"
 )
 
 // FaultKind classifies a deterministic fault, mirroring the signals the
@@ -103,7 +102,8 @@ type CPU struct {
 	// how regeneration baselines' inline target checks (Safer's encoded
 	// pointer checks, Multiverse's tables) are modeled on the simulated
 	// hardware, with Hooks.IndirectCalls tallying invocations (the Table 2
-	// metric). The pure observers (Cov/Cmp/Mem) feed the fuzzing service.
+	// metric). The pure observers (Cov/Cmp/Mem) feed the fuzzing service;
+	// Prof is the guest profiler.
 	// Install with SetHooks — observer participation is burned into µops at
 	// translation time, so the translation caches are keyed on the observer
 	// set (the obs mask below). Mutating an already-installed Hooks value's
@@ -133,11 +133,6 @@ type CPU struct {
 	// sets DefaultTraceThreshold.
 	TraceThreshold uint32
 
-	// Prof, when non-nil, accumulates per-block cycle/instret samples on
-	// every block dispatch (the guest profiler). Nil means off: the block
-	// engine pays exactly one nil check per dispatch.
-	Prof *telemetry.GuestProfiler
-
 	// icache is a direct-mapped decoded-instruction cache, invalidated by
 	// the mapping generation and the code frame's patch generation.
 	icache [4096]icacheEntry
@@ -153,11 +148,11 @@ type CPU struct {
 	freeTraces []*trace
 
 	// obs is the observer mask compiled into translations (hookCmp |
-	// hookMem bits, block.go). Blocks and traces record the mask they were
-	// built under and are revalidated against it, so flipping observers
-	// rebuilds translations instead of running stale µop streams. The
-	// coverage observer needs no µop changes (it fires per dispatch) and so
-	// does not participate in the mask.
+	// hookMem | hookProf bits, block.go). Blocks and traces record the mask
+	// they were built under and are revalidated against it, so flipping
+	// observers rebuilds translations instead of running stale µop streams
+	// or slotless blocks. The coverage observer needs no build-time state
+	// (it fires per dispatch) and so does not participate in the mask.
 	obs uint8
 }
 
@@ -179,6 +174,9 @@ func (c *CPU) RefreshHooks() {
 		}
 		if h.Mem != nil {
 			c.obs |= hookMem
+		}
+		if h.Prof != nil {
+			c.obs |= hookProf
 		}
 	}
 }

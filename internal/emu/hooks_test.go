@@ -6,6 +6,7 @@ import (
 	"github.com/eurosys26p57/chimera/internal/instrument"
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/riscv"
+	"github.com/eurosys26p57/chimera/internal/workload"
 )
 
 // observerCPU is codeCPU with a full observer set installed.
@@ -372,6 +373,144 @@ func TestObserverFlipRekeysTranslations(t *testing.T) {
 	for i := range blk.uops {
 		if blk.uops[i].hook != 0 {
 			t.Fatalf("uop %d keeps hook flags after observer uninstall", i)
+		}
+	}
+}
+
+// translatedUops runs the BenchmarkCPURunInstrument program (Fibonacci,
+// default trace threshold) to its exit with install's hook set, then
+// returns every cached block's µops and every compiled trace's µops, keyed
+// by start pc.
+func translatedUops(t *testing.T, install func() *instrument.Hooks) (blocks, traces map[uint64][]uop) {
+	t.Helper()
+	img, err := workload.Fibonacci(1000, riscv.RV64GC, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := NewMemory()
+	mem.MapImage(img)
+	cpu := NewCPU(mem, riscv.RV64GC)
+	if install != nil {
+		cpu.SetHooks(install())
+	}
+	cpu.Reset(img)
+	for {
+		stop := cpu.Run(50_000_000)
+		if stop.Kind == StopEcall {
+			break
+		}
+		if stop.Kind != StopLimit {
+			t.Fatalf("unexpected stop: %+v", stop)
+		}
+	}
+	blocks, traces = map[uint64][]uop{}, map[uint64][]uop{}
+	for _, b := range cpu.bcache {
+		if b == nil {
+			continue
+		}
+		blocks[b.pc] = b.uops
+		if b.trace != nil {
+			traces[b.pc] = b.trace.uops
+		}
+	}
+	return blocks, traces
+}
+
+// sameUops requires two translation sets to hold the same starts with
+// identical µop streams, op for op.
+func sameUops(t *testing.T, tier, mode string, got, want map[uint64][]uop) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %s tier has %d translations, off has %d", mode, tier, len(got), len(want))
+	}
+	for pc, w := range want {
+		g, ok := got[pc]
+		if !ok {
+			t.Fatalf("%s: %s tier lacks the translation at %#x", mode, tier, pc)
+		}
+		if len(g) != len(w) {
+			t.Fatalf("%s: %s %#x has %d µops, off has %d", mode, tier, pc, len(g), len(w))
+		}
+		for i := range w {
+			if g[i] != w[i] {
+				t.Fatalf("%s: %s %#x µop %d = %+v, off has %+v", mode, tier, pc, i, g[i], w[i])
+			}
+		}
+	}
+}
+
+// TestDispatchObserversCompileIdenticalUops is the exact form of the
+// nil-hook overhead gate: the BenchmarkCPURunInstrument program compiles to
+// the same block-tier and trace-tier µop streams, op for op, with no hooks,
+// with an empty hook set, and with either per-dispatch observer (coverage,
+// profiler) installed. Those observers cost a dispatch-time check and
+// nothing inside a translation.
+func TestDispatchObserversCompileIdenticalUops(t *testing.T) {
+	offBlocks, offTraces := translatedUops(t, nil)
+	if len(offTraces) == 0 {
+		t.Fatal("no traces compiled: the trace tier is not compared")
+	}
+	for _, u := range offBlocks {
+		for i := range u {
+			if u[i].hook != 0 {
+				t.Fatalf("off build carries hook flags %#x", u[i].hook)
+			}
+		}
+	}
+	for _, mode := range []struct {
+		name    string
+		install func() *instrument.Hooks
+	}{
+		{"nilhooks", func() *instrument.Hooks { return &instrument.Hooks{} }},
+		{"coverage", func() *instrument.Hooks { return &instrument.Hooks{Cov: instrument.NewCoverage()} }},
+		{"profiler", func() *instrument.Hooks { return &instrument.Hooks{Prof: instrument.NewProfile()} }},
+	} {
+		blocks, traces := translatedUops(t, mode.install)
+		sameUops(t, "block", mode.name, blocks, offBlocks)
+		sameUops(t, "trace", mode.name, traces, offTraces)
+	}
+}
+
+// TestProfilerInstallAndSwap: installing the profiler rekeys translations
+// so blocks get counter slots, and swapping in a second Profile — whose
+// slot numbers the live blocks do not carry — still attributes every
+// dispatch to the right pc: each profile's totals are exactly the
+// instructions and cycles retired while it was installed.
+func TestProfilerInstallAndSwap(t *testing.T) {
+	text := enc(t,
+		riscv.Inst{Op: riscv.ADDI, Rd: riscv.A0, Rs1: riscv.A0, Imm: 1},
+		riscv.Inst{Op: riscv.BNE, Rs1: riscv.A0, Rs2: riscv.A2, Imm: -4},
+		riscv.Inst{Op: riscv.EBREAK},
+	)
+	for _, threshold := range []uint32{0, 2} {
+		cpu := codeCPU(t, text)
+		cpu.TraceThreshold = threshold
+		cpu.X[riscv.A2] = 1 << 40 // never taken: loop forever under slices
+		h := &instrument.Hooks{}
+		cpu.SetHooks(h)
+		if stop := cpu.Run(100); stop.Kind != StopLimit {
+			t.Fatalf("stop: %+v", stop)
+		}
+		built := cpu.Blocks.Built
+		for _, prof := range []*instrument.Profile{instrument.NewProfile(), instrument.NewProfile()} {
+			prof.Slot(0xdead0) // the swap must not line up slot numbers
+			h.Prof = prof
+			cpu.RefreshHooks()
+			instret, cycles := cpu.Instret, cpu.Cycles
+			if stop := cpu.Run(1000); stop.Kind != StopLimit {
+				t.Fatalf("stop: %+v", stop)
+			}
+			gotCycles, gotInstret := prof.Totals()
+			if gotInstret != cpu.Instret-instret || gotCycles != cpu.Cycles-cycles {
+				t.Errorf("threshold %d: profile totals (%d cycles, %d instret), run retired (%d, %d)",
+					threshold, gotCycles, gotInstret, cpu.Cycles-cycles, cpu.Instret-instret)
+			}
+			if s := prof.Samples(); s[len(s)-1].PC != obj.TextBase {
+				t.Errorf("threshold %d: samples %+v, want the loop block last", threshold, s)
+			}
+		}
+		if cpu.Blocks.Built == built {
+			t.Errorf("threshold %d: profiler install did not rekey translations", threshold)
 		}
 	}
 }

@@ -1,10 +1,6 @@
 package emu
 
-import (
-	"github.com/eurosys26p57/chimera/internal/obj"
-	"github.com/eurosys26p57/chimera/internal/riscv"
-	"github.com/eurosys26p57/chimera/internal/telemetry"
-)
+import "github.com/eurosys26p57/chimera/internal/riscv"
 
 // DefaultTraceThreshold is the block dispatch count at which a chain is
 // promoted into a superblock trace (CPU.TraceThreshold; 0 disables the
@@ -62,23 +58,4 @@ func (c *CPU) stitchSuccessor(b *block, last *uop) *block {
 		}
 	}
 	return nil
-}
-
-// SymTableOf converts an image's function symbols into the telemetry
-// profiler's symbolizer shape (telemetry stays dependency-free, so the
-// conversion lives on the emulator side, which already speaks obj).
-func SymTableOf(imgs ...*obj.Image) *telemetry.SymTable {
-	var syms []telemetry.Sym
-	for _, img := range imgs {
-		if img == nil {
-			continue
-		}
-		for _, s := range img.FuncSymbols() {
-			syms = append(syms, telemetry.Sym{Name: s.Name, Addr: s.Addr, Size: s.Size})
-		}
-	}
-	if len(syms) == 0 {
-		return nil
-	}
-	return telemetry.NewSymTable(syms)
 }

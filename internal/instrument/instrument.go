@@ -1,15 +1,16 @@
 // Package instrument defines the guest instrumentation ABI: a hook set the
 // emulator compiles into its basic blocks and superblock traces at
-// translation time. Three observers are defined — AFL-style edge-coverage
+// translation time. Four observers are defined — AFL-style edge-coverage
 // bitmaps, cmp-operand logging (input-to-state correspondence, the REDQUEEN
-// trick), and memory-access tracing — plus the indirect-jump interceptor
-// that regeneration baselines (Safer's pointer checks) have always used.
+// trick), memory-access tracing, and the guest profiler's per-block cycle
+// and instret counters — plus the indirect-jump interceptor that
+// regeneration baselines (Safer's pointer checks) have always used.
 //
 // The contract that makes the emulator usable as a fuzzing backend (Icicle's
 // observation) is zero-cost-when-off: a nil hook set, or a hook set with no
 // observers, must compile to the exact same µop stream as an uninstrumented
-// emulator and pay at most a nil check per block dispatch. All observer
-// state is preallocated fixed-size storage so per-execution resets
+// emulator and pay at most a nil check per block dispatch. All per-execution
+// observer state is preallocated fixed-size storage so per-execution resets
 // (Hooks.ResetState, called from kernel.Process.Reset) never allocate —
 // the fuzzing loop's steady state is allocation-free like every other hot
 // path in the tree. Resets also cost only what the execution recorded:
@@ -17,8 +18,8 @@
 // touched, so both the campaign's coverage fold and the reset visit those
 // cells instead of the 64 KiB map.
 //
-// The package is dependency-free (the emulator imports it, not the other
-// way around), mirroring how internal/telemetry hosts the guest profiler.
+// The package is dependency-free: the emulator feeds it, and
+// internal/telemetry symbolizes and renders the profile it collects.
 package instrument
 
 const (
@@ -176,6 +177,81 @@ func (t *MemTrace) Entry(i int) MemEntry {
 	return t.Buf[i]
 }
 
+// BlockSample is the execution totals of the guest block starting at PC.
+type BlockSample struct {
+	PC         uint64 `json:"pc"`
+	Cycles     uint64 `json:"cycles"`
+	Instret    uint64 `json:"instret"`
+	Dispatches uint64 `json:"dispatches"`
+}
+
+// Profile is the guest profiler: one counter slot per guest block. The
+// emulator takes a block's slot when it translates the block (Slot) and
+// adds each dispatch into it (Add), so the pc→slot map is read per
+// translation, never per dispatch. Counts are cumulative (ResetState leaves
+// them alone). Not goroutine-safe; aggregate with Merge under a lock.
+type Profile struct {
+	samples []BlockSample
+	slots   map[uint64]int32 // block pc → index in samples
+}
+
+// NewProfile returns an empty profile.
+func NewProfile() *Profile { return &Profile{slots: make(map[uint64]int32)} }
+
+// Slot returns the counter slot of the block starting at pc, adding an
+// empty one the first time pc is seen.
+func (p *Profile) Slot(pc uint64) int32 {
+	if i, ok := p.slots[pc]; ok {
+		return i
+	}
+	i := int32(len(p.samples))
+	p.samples = append(p.samples, BlockSample{PC: pc})
+	p.slots[pc] = i
+	return i
+}
+
+// Add records one dispatch of the block at pc into slot: instret retired and
+// cycles charged. It records nothing and reports false when slot does not
+// hold pc (the block was translated under another Profile).
+func (p *Profile) Add(slot int32, pc, instret, cycles uint64) bool {
+	if uint(slot) >= uint(len(p.samples)) || p.samples[slot].PC != pc {
+		return false
+	}
+	s := &p.samples[slot]
+	s.Instret += instret
+	s.Cycles += cycles
+	s.Dispatches++
+	return true
+}
+
+// Merge folds o's samples into p by pc.
+func (p *Profile) Merge(o *Profile) {
+	if o == nil {
+		return
+	}
+	for _, os := range o.samples {
+		s := &p.samples[p.Slot(os.PC)]
+		s.Cycles += os.Cycles
+		s.Instret += os.Instret
+		s.Dispatches += os.Dispatches
+	}
+}
+
+// Samples returns a copy of every block's totals.
+func (p *Profile) Samples() []BlockSample { return append([]BlockSample(nil), p.samples...) }
+
+// Blocks returns the number of distinct blocks sampled.
+func (p *Profile) Blocks() int { return len(p.samples) }
+
+// Totals sums cycles and instret over all blocks.
+func (p *Profile) Totals() (cycles, instret uint64) {
+	for _, s := range p.samples {
+		cycles += s.Cycles
+		instret += s.Instret
+	}
+	return cycles, instret
+}
+
 // Hooks is the emulator's single hook registration surface.
 //
 // Indirect is the interceptor formerly known as emu.CPU.IndirectHook: it
@@ -185,23 +261,25 @@ func (t *MemTrace) Entry(i int) MemEntry {
 // invalidates translations — but it does veto jalr trace stitching, since a
 // hook may redirect or patch code at every call.
 //
-// Cov, Cmp and Mem are pure observers: they cannot change guest behavior,
-// so traces stitch and promote exactly as if they were absent (including
-// across indirect jumps). Cmp and Mem participation is burned into µops at
-// translation time — install them through emu.CPU.SetHooks, which keys the
+// Cov, Cmp, Mem and Prof are pure observers: they cannot change guest
+// behavior, so traces stitch and promote exactly as if they were absent
+// (including across indirect jumps). Cmp and Mem participation is burned
+// into µops, and Prof's counter slot into blocks, at translation time —
+// install them through emu.CPU.SetHooks (or RefreshHooks), which keys the
 // translation caches on the observer set so stale translations rebuild.
 type Hooks struct {
 	Indirect      func(pc, target uint64) (newTarget, extraCycles uint64)
 	IndirectCalls uint64
 
-	Cov *Coverage
-	Cmp *CmpLog
-	Mem *MemTrace
+	Cov  *Coverage
+	Cmp  *CmpLog
+	Mem  *MemTrace
+	Prof *Profile
 }
 
 // ResetState clears per-execution observer state (coverage bitmap, cmp log,
 // access trace) without allocating and without touching the registration
-// itself or the cumulative IndirectCalls counter.
+// itself, the cumulative IndirectCalls counter or the cumulative Prof.
 func (h *Hooks) ResetState() {
 	if h == nil {
 		return
@@ -219,5 +297,5 @@ func (h *Hooks) ResetState() {
 
 // Observing reports whether any pure observer is installed.
 func (h *Hooks) Observing() bool {
-	return h != nil && (h.Cov != nil || h.Cmp != nil || h.Mem != nil)
+	return h != nil && (h.Cov != nil || h.Cmp != nil || h.Mem != nil || h.Prof != nil)
 }

@@ -171,3 +171,56 @@ func TestObserving(t *testing.T) {
 		t.Fatal("coverage installed but not observing")
 	}
 }
+
+// TestProfileSlots checks the profile's slot contract: one slot per block
+// pc, a dispatch adds into its slot, a slot that does not hold the pc is
+// refused without recording, and ResetState leaves the cumulative counts
+// alone.
+func TestProfileSlots(t *testing.T) {
+	p := NewProfile()
+	a, b := p.Slot(0x100), p.Slot(0x200)
+	if a == b || p.Slot(0x100) != a {
+		t.Fatalf("slots a=%d b=%d, re-slot a=%d", a, b, p.Slot(0x100))
+	}
+	for _, d := range []struct {
+		slot     int32
+		pc       uint64
+		accepted bool
+	}{
+		{a, 0x100, true},
+		{a, 0x100, true},
+		{b, 0x200, true},
+		{7, 0x300, false},  // a slot of some other profile: out of range here
+		{a, 0x200, false},  // slot a holds 0x100
+		{-1, 0x100, false}, // never a slot
+	} {
+		if got := p.Add(d.slot, d.pc, 4, 10); got != d.accepted {
+			t.Errorf("Add(slot %d, pc %#x) = %t, want %t", d.slot, d.pc, got, d.accepted)
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() { p.Add(b, 0x200, 0, 0) })
+	if allocs != 0 {
+		t.Fatalf("Profile.Add allocates: %v allocs/op", allocs)
+	}
+	h := &Hooks{Prof: p}
+	h.ResetState()
+	if !h.Observing() {
+		t.Fatal("profiler installed but not observing")
+	}
+	want := []BlockSample{
+		{PC: 0x100, Cycles: 20, Instret: 8, Dispatches: 2},
+		{PC: 0x200, Cycles: 10, Instret: 4, Dispatches: 1 + 11},
+	}
+	got := p.Samples()
+	if len(got) != len(want) {
+		t.Fatalf("samples = %+v", got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("sample %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if c, n := p.Totals(); c != 30 || n != 12 {
+		t.Errorf("totals = (%d, %d), want (30, 12)", c, n)
+	}
+}

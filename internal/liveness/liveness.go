@@ -8,6 +8,10 @@
 // with ABI argument/return conventions only. The conservatism is what makes
 // the paper's "traditional analysis fails to find a dead register" fallback
 // path real.
+//
+// Live-out sets are kept per block index and transfer functions walk each
+// block's run of dis.Result.Order positions; the address-taking queries
+// (LiveAfter, DeadBefore, ...) resolve their address to a position once.
 package liveness
 
 import (
@@ -118,39 +122,22 @@ func UseDef(in riscv.Inst) (use, def RegSet) {
 // Analysis holds per-block live-out sets.
 type Analysis struct {
 	g *cfg.Graph
-	// liveOut maps block start to the registers live at block exit.
-	liveOut map[uint64]RegSet
+	// liveOut holds, per index in g.Blocks, the registers live at block
+	// exit.
+	liveOut []RegSet
 }
 
 // Analyze runs the backward dataflow to a fixpoint.
 func Analyze(g *cfg.Graph) *Analysis {
-	a := &Analysis{g: g, liveOut: make(map[uint64]RegSet, len(g.Blocks))}
+	a := &Analysis{g: g, liveOut: make([]RegSet, len(g.Blocks))}
 
 	// Initialize boundary blocks: anything with incomplete successors is
 	// fully live, except canonical returns, which follow the psABI: the
 	// caller can only observe return and callee-saved registers.
-	for start, b := range g.Blocks {
-		if b.HasIndirect && !b.IsCallSite {
-			a.liveOut[start] = boundaryLive(b)
+	for i := range g.Blocks {
+		if b := &g.Blocks[i]; b.HasIndirect && !b.IsCallSite {
+			a.liveOut[i] = boundaryLive(b)
 		}
-	}
-
-	// transfer computes live-in of a block from its live-out.
-	transfer := func(b *cfg.Block, out RegSet) RegSet {
-		live := out
-		for i := len(b.Addrs) - 1; i >= 0; i-- {
-			in, _ := g.Dis.At(b.Addrs[i])
-			use, def := UseDef(in)
-			if isCall(in) {
-				// A call conservatively uses its argument registers and the
-				// callee-saved file (the callee may observe them), defines
-				// return registers and ra.
-				use = argRegs | calleeSaved
-				def = retRegs.Add(riscv.RA)
-			}
-			live = live&^def | use
-		}
-		return live
 	}
 
 	changed := true
@@ -158,23 +145,21 @@ func Analyze(g *cfg.Graph) *Analysis {
 		changed = false
 		// Iterate blocks in reverse address order for faster convergence of
 		// the backward problem.
-		for i := len(g.Order) - 1; i >= 0; i-- {
-			start := g.Order[i]
-			b := g.Blocks[start]
-			out := a.liveOut[start]
+		for i := len(g.Blocks) - 1; i >= 0; i-- {
+			b := &g.Blocks[i]
+			out := a.liveOut[i]
 			if b.HasIndirect && !b.IsCallSite {
 				out = boundaryLive(b)
 			}
 			for _, s := range b.Succs {
-				sb := g.Blocks[s]
-				out |= transfer(sb, a.outOf(sb))
+				out |= a.liveBeforePos(g.Blocks[s].First)
 			}
 			if len(b.Succs) == 0 && !b.HasIndirect {
 				// Path ends in unrecognized code: conservative.
 				out = AllRegs
 			}
-			if out != a.liveOut[start] {
-				a.liveOut[start] = out
+			if out != a.liveOut[i] {
+				a.liveOut[i] = out
 				changed = true
 			}
 		}
@@ -193,6 +178,19 @@ func isCall(in riscv.Inst) bool {
 	return (in.Op == riscv.JAL || in.Op == riscv.JALR) && in.Rd == riscv.RA
 }
 
+// liveBefore steps liveness backward over one instruction: the registers
+// live before in, given those live after it. A call conservatively uses its
+// argument registers and the callee-saved file (the callee may observe
+// them) and defines the return registers and ra.
+func liveBefore(in riscv.Inst, live RegSet) RegSet {
+	use, def := UseDef(in)
+	if isCall(in) {
+		use = argRegs | calleeSaved
+		def = retRegs.Add(riscv.RA)
+	}
+	return live&^def | use
+}
+
 // boundaryLive is the live-out assumption for a block whose successors are
 // unknown: canonical returns use the psABI contract, anything else (computed
 // gotos, tail calls, jump tables) is fully live.
@@ -203,51 +201,46 @@ func boundaryLive(b *cfg.Block) RegSet {
 	return AllRegs
 }
 
-func (a *Analysis) outOf(b *cfg.Block) RegSet {
+// liveAfterPos returns the registers live after Dis.Order[pos], under the
+// current live-out sets.
+func (a *Analysis) liveAfterPos(pos int) RegSet {
+	bi := a.g.BlockAt(pos)
+	b := &a.g.Blocks[bi]
+	live := a.liveOut[bi]
 	if b.HasIndirect && !b.IsCallSite {
-		return boundaryLive(b)
+		live = boundaryLive(b)
 	}
-	return a.liveOut[b.Start]
+	for k := b.Last; k > pos; k-- {
+		live = liveBefore(a.g.Dis.Order[k].Inst, live)
+	}
+	return live
+}
+
+// liveBeforePos returns the registers live before Dis.Order[pos] (for a
+// block's first position, the block's live-in set).
+func (a *Analysis) liveBeforePos(pos int) RegSet {
+	return liveBefore(a.g.Dis.Order[pos].Inst, a.liveAfterPos(pos))
 }
 
 // LiveAfter returns the set of registers live immediately after the
 // instruction at addr (i.e. at the point a jump-back trampoline placed
 // there would execute).
 func (a *Analysis) LiveAfter(addr uint64) RegSet {
-	b, ok := a.g.BlockContaining(addr)
+	pos, ok := a.g.Dis.Index(addr)
 	if !ok {
 		return AllRegs
 	}
-	live := a.outOf(b)
-	for i := len(b.Addrs) - 1; i >= 0; i-- {
-		if b.Addrs[i] == addr {
-			return live
-		}
-		in, _ := a.g.Dis.At(b.Addrs[i])
-		use, def := UseDef(in)
-		if isCall(in) {
-			use = argRegs | calleeSaved
-			def = retRegs.Add(riscv.RA)
-		}
-		live = live&^def | use
-	}
-	return live
+	return a.liveAfterPos(pos)
 }
 
 // LiveBefore returns the registers live immediately before the instruction
 // at addr executes.
 func (a *Analysis) LiveBefore(addr uint64) RegSet {
-	if _, ok := a.g.BlockContaining(addr); !ok {
+	pos, ok := a.g.Dis.Index(addr)
+	if !ok {
 		return AllRegs
 	}
-	live := a.LiveAfter(addr)
-	in, _ := a.g.Dis.At(addr)
-	use, def := UseDef(in)
-	if isCall(in) {
-		use = argRegs | calleeSaved
-		def = retRegs.Add(riscv.RA)
-	}
-	return live&^def | use
+	return a.liveBeforePos(pos)
 }
 
 // DeadBefore returns a scavengeable register that is dead immediately

@@ -2,13 +2,11 @@ package rewriters
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"github.com/eurosys26p57/chimera/internal/chbp"
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/resolve"
 	"github.com/eurosys26p57/chimera/internal/riscv"
-	"github.com/eurosys26p57/chimera/internal/translate"
 )
 
 // ARMoreWith rewrites an image the way ARMore does when ported to RISC-V
@@ -29,13 +27,7 @@ func ARMoreWith(img *obj.Image, targetISA riscv.Ext, emptyPatch bool, ts *resolv
 	defer reject("armore", &out, &err)
 	d, recovered := decoded(img, ts)
 	resolved := resolvedTargets(ts)
-	vregAddr, newBase := newLayout(img)
-	rel, err := relocateAll(d, relocOptions{
-		targetISA:  targetISA,
-		emptyPatch: emptyPatch,
-		newBase:    newBase,
-		ctx:        &translate.Context{VRegBase: vregAddr},
-	})
+	rel, err := relocateAll(img, d, targetISA, emptyPatch)
 	if err != nil {
 		return nil, err
 	}
@@ -47,9 +39,8 @@ func ARMoreWith(img *obj.Image, targetISA riscv.Ext, emptyPatch bool, ts *resolv
 		RecoveredInsts: recovered, ResolvedTargets: len(resolved)}
 
 	// Fill the original text with single-instruction trampolines.
-	for _, x := range d.Order {
-		a, in := x.Addr, x.Inst
-		newAddr := rel.addrMap[a]
+	for i, x := range d.Order {
+		a, in, newAddr := x.Addr, x.Inst, rel.newAddr[i]
 		stats.Trampolines++
 		delta := int64(newAddr) - int64(a)
 		if in.Len == 4 && fitsJal(delta) {
@@ -69,28 +60,7 @@ func ARMoreWith(img *obj.Image, targetISA riscv.Ext, emptyPatch bool, ts *resolv
 		}
 	}
 
-	// Trap exits inside the relocated code (direct jumps out of jal range).
-	for addr, resume := range rel.trapResume {
-		tables.ExitTrap[addr] = resume
-	}
-	tables.TargetStart, tables.TargetEnd = newBase, rel.newEnd
-
-	rw.AddSection(&obj.Section{Name: obj.SecVRegFile, Addr: vregAddr,
-		Data: make([]byte, translate.VRegFileSize), Perm: obj.PermRW})
-	rw.AddSection(&obj.Section{Name: obj.SecTarget, Addr: newBase,
-		Data: rel.code, Perm: obj.PermRX})
-	rw.AddSection(&obj.Section{Name: obj.SecFaultTab,
-		Addr: obj.AlignUp(rel.newEnd+1, obj.PageSize), Data: tables.Marshal(), Perm: obj.PermR})
-
-	entry, ok := rel.addrMap[img.Entry]
-	if !ok {
-		return nil, fmt.Errorf("rewriters: entry %#x not relocated", img.Entry)
-	}
-	rw.Entry = entry
-	if !emptyPatch {
-		rw.ISA = targetISA
-	}
-	if err := rw.Validate(); err != nil {
+	if err := rel.install(rw, img, tables, targetISA, emptyPatch); err != nil {
 		return nil, err
 	}
 	return &Rewritten{Image: rw, Tables: tables, AddrMap: rel.addrMap, Resolved: resolved, Stats: stats}, nil

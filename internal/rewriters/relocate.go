@@ -13,101 +13,104 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"github.com/eurosys26p57/chimera/internal/chbp"
 	"github.com/eurosys26p57/chimera/internal/dis"
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/riscv"
 	"github.com/eurosys26p57/chimera/internal/translate"
 )
 
-// relocOptions configures the shared full-relocation engine.
-type relocOptions struct {
-	targetISA  riscv.Ext
-	emptyPatch bool
-	newBase    uint64
-	ctx        *translate.Context
-}
-
-// relocation is the engine's output: the new code and the orig→new address
-// map regeneration and patching baselines both need.
+// relocation is the engine's output: the new code, and every instruction's
+// new address by position in the disassembly's Order (newAddr) and as the
+// orig→new map the kernel and the Safer hook consume (addrMap).
 type relocation struct {
 	code    []byte
+	newAddr []uint64
 	addrMap map[uint64]uint64
 	// trapResume maps ebreak addresses in the *new* code (emitted where a
 	// direct jump could not reach) to the new address execution resumes at.
 	trapResume map[uint64]uint64
-	newEnd     uint64
+	// The generated sections' layout (newLayout): the vector register
+	// file, and the new code at [newBase, newEnd).
+	vregAddr, newBase, newEnd uint64
 }
 
-// relocateAll rebuilds every recognized instruction at a new address,
-// translating source instructions and retargeting direct control flow.
-func relocateAll(d *dis.Result, o relocOptions) (*relocation, error) {
+// relocateAll rebuilds every recognized instruction of img (disassembled
+// as d) at a new address, translating source instructions and retargeting
+// direct control flow.
+func relocateAll(img *obj.Image, d *dis.Result, targetISA riscv.Ext, emptyPatch bool) (*relocation, error) {
+	vregAddr, newBase := newLayout(img)
+	ctx := &translate.Context{VRegBase: vregAddr}
 	isSource := func(in riscv.Inst) bool {
-		if o.emptyPatch {
+		if emptyPatch {
 			return in.Extension() == riscv.ExtV
 		}
-		return !o.targetISA.Has(in.Extension())
+		return !targetISA.Has(in.Extension())
 	}
+	// Indexed by position in d.Order: the emitted size, the body to emit
+	// verbatim when the instruction has one (an upgrade or a translation),
+	// and the new address.
+	sizes := make([]int, len(d.Order))
+	bodies := make([][]riscv.Inst, len(d.Order))
+	hasBody := make([]bool, len(d.Order))
+	newAddr := make([]uint64, len(d.Order))
 	// Regeneration applies upgrades inline: a matched idiom's replacement
 	// is emitted at the sequence head; the consumed instructions vanish
-	// (their addresses map to the replacement head).
-	upgradeBody := make(map[uint64][]riscv.Inst)
-	upgradeTail := make(map[uint64]uint64) // consumed addr -> site head
-	if !o.emptyPatch {
+	// (their addresses map to the replacement head). headOf holds, for a
+	// consumed instruction, its site head's position plus one.
+	headOf := make([]int, len(d.Order))
+	if !emptyPatch {
 		for _, u := range translate.MatchUpgrades(d) {
 			fits := true
 			for _, in := range u.Replacement {
-				if !o.targetISA.Has(in.Extension()) {
+				if !targetISA.Has(in.Extension()) {
 					fits = false
 					break
 				}
 			}
-			srcTainted := false
+			var pos [8]int // the longest idiom (axpy) is 8 instructions
+			at := pos[:0]
 			for _, a := range u.Addrs {
-				if in, ok := d.At(a); ok && isSource(in) {
-					srcTainted = true
+				i, ok := d.Index(a)
+				if !ok || isSource(d.Order[i].Inst) {
+					fits = false
 					break
 				}
+				at = append(at, i)
 			}
-			if !fits || srcTainted {
+			if !fits {
 				continue
 			}
-			upgradeBody[u.Addrs[0]] = u.Replacement
-			for _, a := range u.Addrs[1:] {
-				upgradeTail[a] = u.Addrs[0]
+			bodies[at[0]], hasBody[at[0]] = u.Replacement, true
+			for _, i := range at[1:] {
+				headOf[i] = at[0] + 1
 			}
 		}
 	}
 	sew := riscv.E64
 	// Pass 1: per-instruction translations and emitted sizes.
-	// Indexed by position in d.Order: the emitted size, and the body to
-	// emit verbatim when the instruction has one (an upgrade or a
-	// translation).
-	sizes := make([]int, len(d.Order))
-	bodies := make([][]riscv.Inst, len(d.Order))
-	hasBody := make([]bool, len(d.Order))
 	for i, x := range d.Order {
 		a, in := x.Addr, x.Inst
 		if in.Op == riscv.VSETVLI {
 			sew = riscv.SEWOf(in.Imm)
 		}
-		if body, ok := upgradeBody[a]; ok {
-			bodies[i], hasBody[i] = body, true
-			sizes[i] = 4 * len(body)
+		if hasBody[i] {
+			sizes[i] = 4 * len(bodies[i])
 			continue
 		}
-		if _, ok := upgradeTail[a]; ok {
+		if headOf[i] != 0 {
 			continue
 		}
 		switch {
 		case isSource(in):
-			if o.emptyPatch {
+			if emptyPatch {
 				cp := in
 				cp.Len = 4
 				bodies[i], hasBody[i] = []riscv.Inst{cp}, true
 				sizes[i] = 4
 				continue
 			}
-			seq, err := translate.Downgrade(in, sew, o.ctx)
+			seq, err := translate.Downgrade(in, sew, ctx)
 			if err != nil {
 				return nil, fmt.Errorf("rewriters: translate %s at %#x: %w", in, a, err)
 			}
@@ -123,135 +126,148 @@ func relocateAll(d *dis.Result, o relocOptions) (*relocation, error) {
 			sizes[i] = 4
 		}
 	}
-	// Assign new addresses.
+	// Assign new addresses; a consumed instruction takes its site head's.
 	addrMap := make(map[uint64]uint64, len(d.Order))
-	newAddr := make([]uint64, len(d.Order))
-	cursor := o.newBase
+	cursor := newBase
 	for i, x := range d.Order {
-		addrMap[x.Addr] = cursor
 		newAddr[i] = cursor
+		if h := headOf[i]; h != 0 {
+			newAddr[i] = newAddr[h-1]
+		}
+		addrMap[x.Addr] = newAddr[i]
 		cursor += uint64(sizes[i])
 	}
-	for a, head := range upgradeTail {
-		addrMap[a] = addrMap[head]
-	}
 	out := &relocation{
-		code:       make([]byte, cursor-o.newBase),
+		code:       make([]byte, cursor-newBase),
+		newAddr:    newAddr,
 		addrMap:    addrMap,
 		trapResume: make(map[uint64]uint64),
+		vregAddr:   vregAddr,
+		newBase:    newBase,
 		newEnd:     cursor,
 	}
+	// relocated maps an original code address to its new address.
+	relocated := func(a uint64) (uint64, bool) {
+		i, ok := d.Index(a)
+		if !ok {
+			return 0, false
+		}
+		return newAddr[i], true
+	}
 
-	emitAt := func(off uint64, in riscv.Inst) error {
+	// emitAt encodes in at code offset off; the first encoding failure is
+	// kept and returned once the pass ends.
+	var emitErr error
+	emitAt := func(off uint64, in riscv.Inst) {
 		w, err := riscv.Encode(in)
 		if err != nil {
-			return fmt.Errorf("rewriters: encode %v: %w", in, err)
+			if emitErr == nil {
+				emitErr = fmt.Errorf("rewriters: encode %v: %w", in, err)
+			}
+			return
 		}
 		binary.LittleEndian.PutUint32(out.code[off:], w)
-		return nil
 	}
 	nop := riscv.Inst{Op: riscv.ADDI}
 
 	// Pass 2: emit.
 	for i, x := range d.Order {
 		a, in := x.Addr, x.Inst
-		if _, consumed := upgradeTail[a]; consumed {
+		if headOf[i] != 0 {
 			continue
 		}
 		newPC := newAddr[i]
-		off := newPC - o.newBase
+		off := newPC - newBase
 		if hasBody[i] {
 			for k, bi := range bodies[i] {
-				if err := emitAt(off+uint64(4*k), bi); err != nil {
-					return nil, err
-				}
+				emitAt(off+uint64(4*k), bi)
 			}
 			continue
 		}
 		switch {
 		case in.IsBranch():
-			target := a + uint64(in.Imm)
-			newTarget, known := addrMap[target]
+			newTarget, known := relocated(a + uint64(in.Imm))
 			inv := invertBranch(in)
 			inv.Len = 4
 			inv.Imm = 8 // skip the jump when the original branch is not taken
-			if err := emitAt(off, inv); err != nil {
-				return nil, err
-			}
+			emitAt(off, inv)
 			if !known {
 				out.trapResume[newPC+4] = 0 // unreachable target: hard trap
-				if err := emitAt(off+4, riscv.Inst{Op: riscv.EBREAK}); err != nil {
-					return nil, err
-				}
+				emitAt(off+4, riscv.Inst{Op: riscv.EBREAK})
 				continue
 			}
 			delta := int64(newTarget) - int64(newPC+4)
 			if fitsJal(delta) {
-				if err := emitAt(off+4, riscv.Inst{Op: riscv.JAL, Rd: riscv.Zero, Imm: delta}); err != nil {
-					return nil, err
-				}
+				emitAt(off+4, riscv.Inst{Op: riscv.JAL, Rd: riscv.Zero, Imm: delta})
 			} else {
 				out.trapResume[newPC+4] = newTarget
-				if err := emitAt(off+4, riscv.Inst{Op: riscv.EBREAK}); err != nil {
-					return nil, err
-				}
+				emitAt(off+4, riscv.Inst{Op: riscv.EBREAK})
 			}
 		case in.Op == riscv.JAL:
-			target := a + uint64(in.Imm)
-			newTarget, known := addrMap[target]
+			newTarget, known := relocated(a + uint64(in.Imm))
 			if in.Rd == riscv.RA && known {
 				// Far-capable call pair; ra points into the new code.
 				delta := int64(newTarget) - int64(newPC)
 				hi := (delta + 0x800) >> 12
 				lo := delta - hi<<12
-				if err := emitAt(off, riscv.Inst{Op: riscv.AUIPC, Rd: riscv.RA, Imm: hi}); err != nil {
-					return nil, err
-				}
-				if err := emitAt(off+4, riscv.Inst{Op: riscv.JALR, Rd: riscv.RA, Rs1: riscv.RA, Imm: lo}); err != nil {
-					return nil, err
-				}
+				emitAt(off, riscv.Inst{Op: riscv.AUIPC, Rd: riscv.RA, Imm: hi})
+				emitAt(off+4, riscv.Inst{Op: riscv.JALR, Rd: riscv.RA, Rs1: riscv.RA, Imm: lo})
 				continue
 			}
 			if known {
 				delta := int64(newTarget) - int64(newPC)
 				if fitsJal(delta) {
-					if err := emitAt(off, riscv.Inst{Op: riscv.JAL, Rd: in.Rd, Imm: delta}); err != nil {
-						return nil, err
-					}
-					if err := emitAt(off+4, nop); err != nil {
-						return nil, err
-					}
+					emitAt(off, riscv.Inst{Op: riscv.JAL, Rd: in.Rd, Imm: delta})
+					emitAt(off+4, nop)
 					continue
 				}
 			}
 			out.trapResume[newPC] = newTarget // 0 when unknown
-			if err := emitAt(off, riscv.Inst{Op: riscv.EBREAK}); err != nil {
-				return nil, err
-			}
-			if err := emitAt(off+4, nop); err != nil {
-				return nil, err
-			}
+			emitAt(off, riscv.Inst{Op: riscv.EBREAK})
+			emitAt(off+4, nop)
 		case in.Op == riscv.AUIPC:
 			// Recompute the original pc-relative value so data references
 			// and code pointers keep original addresses.
 			v := int64(a) + in.Imm<<12
 			hi := (v + 0x800) >> 12
 			lo := v - hi<<12
-			if err := emitAt(off, riscv.Inst{Op: riscv.LUI, Rd: in.Rd, Imm: hi}); err != nil {
-				return nil, err
-			}
-			if err := emitAt(off+4, riscv.Inst{Op: riscv.ADDIW, Rd: in.Rd, Rs1: in.Rd, Imm: lo}); err != nil {
-				return nil, err
-			}
+			emitAt(off, riscv.Inst{Op: riscv.LUI, Rd: in.Rd, Imm: hi})
+			emitAt(off+4, riscv.Inst{Op: riscv.ADDIW, Rd: in.Rd, Rs1: in.Rd, Imm: lo})
 		default:
 			cp := in
 			cp.Len = 4
-			if err := emitAt(off, cp); err != nil {
-				return nil, err
-			}
+			emitAt(off, cp)
 		}
 	}
+	if emitErr != nil {
+		return nil, emitErr
+	}
 	return out, nil
+}
+
+// install adds the relocation to rw, the rewritten copy of img: the vector
+// register file, the new code and tables (completed with the trap exits
+// inside the new code) as sections, and the relocated entry point.
+func (rel *relocation) install(rw, img *obj.Image, tables *chbp.Tables, targetISA riscv.Ext, emptyPatch bool) error {
+	for addr, resume := range rel.trapResume {
+		tables.ExitTrap[addr] = resume
+	}
+	tables.TargetStart, tables.TargetEnd = rel.newBase, rel.newEnd
+	rw.AddSection(&obj.Section{Name: obj.SecVRegFile, Addr: rel.vregAddr,
+		Data: make([]byte, translate.VRegFileSize), Perm: obj.PermRW})
+	rw.AddSection(&obj.Section{Name: obj.SecTarget, Addr: rel.newBase,
+		Data: rel.code, Perm: obj.PermRX})
+	rw.AddSection(&obj.Section{Name: obj.SecFaultTab,
+		Addr: obj.AlignUp(rel.newEnd+1, obj.PageSize), Data: tables.Marshal(), Perm: obj.PermR})
+	entry, ok := rel.addrMap[img.Entry]
+	if !ok {
+		return fmt.Errorf("rewriters: entry %#x not relocated", img.Entry)
+	}
+	rw.Entry = entry
+	if !emptyPatch {
+		rw.ISA = targetISA
+	}
+	return rw.Validate()
 }
 
 func fitsJal(delta int64) bool { return delta >= -(1<<20) && delta < 1<<20 && delta%2 == 0 }

@@ -9,7 +9,6 @@ import (
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/resolve"
 	"github.com/eurosys26p57/chimera/internal/riscv"
-	"github.com/eurosys26p57/chimera/internal/translate"
 )
 
 // Safer cost model: every indirect jump pays the inline encoded-pointer
@@ -59,13 +58,7 @@ func SaferWith(img *obj.Image, targetISA riscv.Ext, emptyPatch bool, ts *resolve
 	defer reject("safer", &out, &err)
 	d, recovered := decoded(img, ts)
 	resolved := resolvedTargets(ts)
-	vregAddr, newBase := newLayout(img)
-	rel, err := relocateAll(d, relocOptions{
-		targetISA:  targetISA,
-		emptyPatch: emptyPatch,
-		newBase:    newBase,
-		ctx:        &translate.Context{VRegBase: vregAddr},
-	})
+	rel, err := relocateAll(img, d, targetISA, emptyPatch)
 	if err != nil {
 		return nil, err
 	}
@@ -82,27 +75,7 @@ func SaferWith(img *obj.Image, targetISA riscv.Ext, emptyPatch bool, ts *resolve
 	}
 
 	tables := chbp.NewTables(img.GP)
-	for addr, resume := range rel.trapResume {
-		tables.ExitTrap[addr] = resume
-	}
-	tables.TargetStart, tables.TargetEnd = newBase, rel.newEnd
-
-	rw.AddSection(&obj.Section{Name: obj.SecVRegFile, Addr: vregAddr,
-		Data: make([]byte, translate.VRegFileSize), Perm: obj.PermRW})
-	rw.AddSection(&obj.Section{Name: obj.SecTarget, Addr: newBase,
-		Data: rel.code, Perm: obj.PermRX})
-	rw.AddSection(&obj.Section{Name: obj.SecFaultTab,
-		Addr: obj.AlignUp(rel.newEnd+1, obj.PageSize), Data: tables.Marshal(), Perm: obj.PermR})
-
-	entry, ok := rel.addrMap[img.Entry]
-	if !ok {
-		return nil, fmt.Errorf("rewriters: entry %#x not relocated", img.Entry)
-	}
-	rw.Entry = entry
-	if !emptyPatch {
-		rw.ISA = targetISA
-	}
-	if err := rw.Validate(); err != nil {
+	if err := rel.install(rw, img, tables, targetISA, emptyPatch); err != nil {
 		return nil, err
 	}
 	return &Rewritten{

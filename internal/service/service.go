@@ -27,6 +27,7 @@ import (
 	"github.com/eurosys26p57/chimera/internal/chbp"
 	"github.com/eurosys26p57/chimera/internal/cluster"
 	"github.com/eurosys26p57/chimera/internal/emu"
+	"github.com/eurosys26p57/chimera/internal/instrument"
 	"github.com/eurosys26p57/chimera/internal/kernel"
 	"github.com/eurosys26p57/chimera/internal/obj"
 	"github.com/eurosys26p57/chimera/internal/rewriters"
@@ -285,21 +286,25 @@ type Server struct {
 
 	// profMu guards the per-image guest-profile aggregates (GuestProfile).
 	profMu   sync.Mutex
-	profiles map[string]*imageProfile
+	profiles map[profileKey]*imageProfile
 
 	// fuzz owns the POST /fuzz campaigns; nil when MaxCampaigns < 0.
 	fuzz *fuzzManager
 }
 
+// profileKey names one profiled image: the client picks the name, so the
+// content ID keeps different images sent under one name apart.
+type profileKey struct{ name, contentID string }
+
 // imageProfile aggregates guest-profiler samples across every /run of one
-// image name, with the symbol table captured from the first run.
+// image, with the symbol table captured from the first run.
 type imageProfile struct {
-	prof *telemetry.GuestProfiler
+	prof *instrument.Profile
 	syms *telemetry.SymTable
 }
 
 // maxProfiledImages caps the per-image profile map so a stream of
-// unique image names cannot grow it without bound.
+// unique images cannot grow it without bound.
 const maxProfiledImages = 64
 
 // EmuStats aggregates the emulator-side observables of every completed /run:
@@ -344,7 +349,7 @@ func NewServer(cfg Config) (*Server, error) {
 		queue:    make(chan *job, cfg.QueueDepth),
 		drained:  make(chan struct{}),
 		tel:      tel,
-		profiles: make(map[string]*imageProfile),
+		profiles: make(map[profileKey]*imageProfile),
 	}
 	mem := store.NewMemory(cfg.CacheBytes, store.Counters{
 		Hits: tel.cacheHits, Misses: tel.cacheMisses,
@@ -1013,8 +1018,10 @@ func (s *Server) doRun(ctx context.Context, req *RunRequest, isa riscv.Ext) (*Ru
 		}
 	}
 	if s.cfg.GuestProfile {
-		p.CPU.Prof = telemetry.NewGuestProfiler()
-		defer s.foldProfile(req, p.CPU.Prof)
+		h := p.Hooks()
+		h.Prof = instrument.NewProfile()
+		p.CPU.RefreshHooks()
+		defer s.foldProfile(req, h.Prof)
 	}
 	execSpan := telemetry.TraceFrom(ctx).Span("run_exec")
 	defer execSpan.End()
@@ -1060,43 +1067,49 @@ func (s *Server) doRun(ctx context.Context, req *RunRequest, isa riscv.Ext) (*Ru
 	return res, wall, nil
 }
 
-// foldProfile merges one run's guest-profiler samples into the per-image
-// aggregate. The map is capped: past maxProfiledImages distinct image
-// names, new images are silently unprofiled (existing ones keep folding).
-func (s *Server) foldProfile(req *RunRequest, prof *telemetry.GuestProfiler) {
-	if prof == nil || prof.Blocks() == 0 {
+// foldProfile merges one run's guest-profiler samples into the aggregate of
+// its image, keyed by name and content ID. The map is capped: past
+// maxProfiledImages distinct images, new images are silently unprofiled
+// (existing ones keep folding).
+func (s *Server) foldProfile(req *RunRequest, prof *instrument.Profile) {
+	id, err := req.Image.ContentID()
+	if err != nil || prof.Blocks() == 0 {
 		return
 	}
+	key := profileKey{name: req.Image.Name, contentID: id}
 	s.profMu.Lock()
 	defer s.profMu.Unlock()
-	ip := s.profiles[req.Image.Name]
+	ip := s.profiles[key]
 	if ip == nil {
 		if len(s.profiles) >= maxProfiledImages {
 			return
 		}
 		ip = &imageProfile{
-			prof: telemetry.NewGuestProfiler(),
-			syms: emu.SymTableOf(req.Image, req.With),
+			prof: instrument.NewProfile(),
+			syms: telemetry.SymTableOf(req.Image, req.With),
 		}
-		s.profiles[req.Image.Name] = ip
+		s.profiles[key] = ip
 	}
 	ip.prof.Merge(prof)
 }
 
 // ImageProfile is one image's aggregated guest profile (the /profile
 // payload): hot blocks ranked by cycles and symbolized, plus
-// flamegraph-folded lines.
+// flamegraph-folded lines. ContentID tells apart different images sent
+// under one name.
 type ImageProfile struct {
-	Image   string               `json:"image"`
-	Blocks  int                  `json:"blocks"`
-	Cycles  uint64               `json:"cycles"`
-	Instret uint64               `json:"instret"`
-	Hot     []telemetry.HotBlock `json:"hot"`
-	Folded  []string             `json:"folded"`
+	Image     string               `json:"image"`
+	ContentID string               `json:"content_id"`
+	Blocks    int                  `json:"blocks"`
+	Cycles    uint64               `json:"cycles"`
+	Instret   uint64               `json:"instret"`
+	Hot       []telemetry.HotBlock `json:"hot"`
+	Folded    []string             `json:"folded"`
 }
 
-// Profiles snapshots every per-image guest profile, sorted by image name.
-// Empty unless Config.GuestProfile is on and runs have completed.
+// Profiles snapshots every per-image guest profile, sorted by image name
+// and then content ID. Empty unless Config.GuestProfile is on and runs have
+// completed.
 func (s *Server) Profiles(topN int) []ImageProfile {
 	if topN <= 0 {
 		topN = 10
@@ -1104,23 +1117,27 @@ func (s *Server) Profiles(topN int) []ImageProfile {
 	s.profMu.Lock()
 	defer s.profMu.Unlock()
 	out := make([]ImageProfile, 0, len(s.profiles))
-	for name, ip := range s.profiles {
+	for key, ip := range s.profiles {
 		cycles, instret := ip.prof.Totals()
 		var folded strings.Builder
-		ip.prof.FoldedStacks(&folded, name, ip.syms)
+		telemetry.FoldedStacks(&folded, key.name, ip.prof, ip.syms)
 		p := ImageProfile{
-			Image:   name,
-			Blocks:  ip.prof.Blocks(),
-			Cycles:  cycles,
-			Instret: instret,
-			Hot:     ip.prof.Report(ip.syms, topN),
+			Image:     key.name,
+			ContentID: key.contentID,
+			Blocks:    ip.prof.Blocks(),
+			Cycles:    cycles,
+			Instret:   instret,
+			Hot:       telemetry.Report(ip.prof, ip.syms, topN),
 		}
 		if f := strings.TrimSuffix(folded.String(), "\n"); f != "" {
 			p.Folded = strings.Split(f, "\n")
 		}
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Image < out[j].Image })
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		return a.Image < b.Image || a.Image == b.Image && a.ContentID < b.ContentID
+	})
 	return out
 }
 

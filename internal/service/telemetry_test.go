@@ -442,6 +442,9 @@ func TestProfileEndpoint(t *testing.T) {
 	if p.Image != fib.Name {
 		t.Errorf("profile image %q, want %q", p.Image, fib.Name)
 	}
+	if id, _ := fib.ContentID(); p.ContentID != id {
+		t.Errorf("profile content_id %q, want %q", p.ContentID, id)
+	}
 	// The profiler sees CPU cycles only; res.Cycles adds kernel overhead
 	// (syscall/exit charges) on top, so it bounds the profile from above.
 	if p.Instret != res.Instret || p.Cycles == 0 || p.Cycles > res.Cycles {
@@ -465,5 +468,49 @@ func TestProfileEndpoint(t *testing.T) {
 	off.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/profile", nil))
 	if rec.Code != http.StatusNotFound {
 		t.Errorf("/profile with profiling off: status %d, want 404", rec.Code)
+	}
+}
+
+// TestProfileKeysByContent sends two different images under one name:
+// /profile must report two profiles told apart by content ID, each holding
+// only its own run's totals.
+func TestProfileKeysByContent(t *testing.T) {
+	srv := New(Config{Workers: 1, GuestProfile: true})
+	defer srv.Shutdown(context.Background())
+	want := map[string]uint64{} // content ID → instret
+	for _, rounds := range []int64{10, 20} {
+		img, err := workload.Fibonacci(rounds, riscv.RV64GC, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img.Name = "shared"
+		res, err := srv.Run(context.Background(), &RunRequest{Image: img})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := img.ContentID()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[id] = res.Instret
+	}
+	if len(want) != 2 {
+		t.Fatal("the two images share a content ID")
+	}
+	profs := srv.Profiles(5)
+	if len(profs) != 2 {
+		t.Fatalf("profiles for %d images, want 2", len(profs))
+	}
+	for _, p := range profs {
+		if p.Image != "shared" {
+			t.Errorf("profile image %q, want shared", p.Image)
+		}
+		instret, ok := want[p.ContentID]
+		if !ok {
+			t.Fatalf("profile content ID %q matches neither image", p.ContentID)
+		}
+		if p.Instret != instret {
+			t.Errorf("profile %s instret %d, its run retired %d", p.ContentID[:12], p.Instret, instret)
+		}
 	}
 }

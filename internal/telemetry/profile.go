@@ -1,86 +1,23 @@
 package telemetry
 
-// Guest-level profiler for the emulator's basic-block engine: an optional
-// per-block cycle/instret accumulator the block dispatcher feeds (one map
-// update per dispatch when enabled, one nil check when not), which ranks
-// hot blocks, symbolizes them against an image's function symbols, and
-// emits both a top-N table and folded-stack flamegraph lines.
+// Guest-profile reports: rank the per-block samples an
+// instrument.Profile collected from the emulator, symbolize them against an
+// image's function symbols, and emit both a top-N table and folded-stack
+// flamegraph lines.
 
 import (
 	"fmt"
 	"io"
 	"sort"
+
+	"github.com/eurosys26p57/chimera/internal/instrument"
+	"github.com/eurosys26p57/chimera/internal/obj"
 )
 
-// BlockSample accumulates one basic block's execution totals.
-type BlockSample struct {
-	PC         uint64 `json:"pc"`
-	Cycles     uint64 `json:"cycles"`
-	Instret    uint64 `json:"instret"`
-	Dispatches uint64 `json:"dispatches"`
-}
-
-// GuestProfiler accumulates per-block samples for one hart. It is not
-// goroutine-safe: each hart owns its profiler, and cross-run aggregation
-// happens via Merge under the aggregator's lock.
-type GuestProfiler struct {
-	blocks map[uint64]*BlockSample
-}
-
-// NewGuestProfiler returns an empty profiler.
-func NewGuestProfiler() *GuestProfiler {
-	return &GuestProfiler{blocks: make(map[uint64]*BlockSample)}
-}
-
-// Sample records one block dispatch: instret instructions retired and
-// cycles charged for the dispatch starting at pc.
-func (p *GuestProfiler) Sample(pc, instret, cycles uint64) {
-	s := p.blocks[pc]
-	if s == nil {
-		s = &BlockSample{PC: pc}
-		p.blocks[pc] = s
-	}
-	s.Instret += instret
-	s.Cycles += cycles
-	s.Dispatches++
-}
-
-// Merge folds o's samples into p.
-func (p *GuestProfiler) Merge(o *GuestProfiler) {
-	if o == nil {
-		return
-	}
-	for pc, os := range o.blocks {
-		s := p.blocks[pc]
-		if s == nil {
-			s = &BlockSample{PC: pc}
-			p.blocks[pc] = s
-		}
-		s.Cycles += os.Cycles
-		s.Instret += os.Instret
-		s.Dispatches += os.Dispatches
-	}
-}
-
-// Totals sums cycles and instret over all blocks.
-func (p *GuestProfiler) Totals() (cycles, instret uint64) {
-	for _, s := range p.blocks {
-		cycles += s.Cycles
-		instret += s.Instret
-	}
-	return cycles, instret
-}
-
-// Blocks returns the number of distinct blocks sampled.
-func (p *GuestProfiler) Blocks() int { return len(p.blocks) }
-
-// Top returns up to n samples ranked by cycles (descending), ties broken
-// by pc so the ranking is deterministic.
-func (p *GuestProfiler) Top(n int) []BlockSample {
-	out := make([]BlockSample, 0, len(p.blocks))
-	for _, s := range p.blocks {
-		out = append(out, *s)
-	}
+// Top returns up to n of p's samples ranked by cycles (descending), ties
+// broken by pc so the ranking is deterministic. n <= 0 returns them all.
+func Top(p *instrument.Profile, n int) []instrument.BlockSample {
+	out := p.Samples()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Cycles != out[j].Cycles {
 			return out[i].Cycles > out[j].Cycles
@@ -95,23 +32,14 @@ func (p *GuestProfiler) Top(n int) []BlockSample {
 
 // --- Symbolization -------------------------------------------------------
 
-// Sym is one function symbol for the profiler's symbolizer. The telemetry
-// package stays dependency-free, so callers convert their symbol tables
-// (e.g. obj.Image.FuncSymbols) into this shape.
-type Sym struct {
-	Name string
-	Addr uint64
-	Size uint64
-}
-
 // SymTable resolves guest addresses to function-relative names.
 type SymTable struct {
-	syms []Sym // sorted by Addr
+	syms []obj.Symbol // sorted by Addr
 }
 
 // NewSymTable builds a table from function symbols (any order).
-func NewSymTable(syms []Sym) *SymTable {
-	t := &SymTable{syms: append([]Sym(nil), syms...)}
+func NewSymTable(syms []obj.Symbol) *SymTable {
+	t := &SymTable{syms: append([]obj.Symbol(nil), syms...)}
 	sort.Slice(t.syms, func(i, j int) bool { return t.syms[i].Addr < t.syms[j].Addr })
 	return t
 }
@@ -134,6 +62,21 @@ func (t *SymTable) Resolve(pc uint64) (name string, off uint64, ok bool) {
 		return "", 0, false
 	}
 	return s.Name, pc - s.Addr, true
+}
+
+// SymTableOf builds the symbolizer for the function symbols of imgs (nil
+// entries are skipped). It returns nil when there are none.
+func SymTableOf(imgs ...*obj.Image) *SymTable {
+	var syms []obj.Symbol
+	for _, img := range imgs {
+		if img != nil {
+			syms = append(syms, img.FuncSymbols()...)
+		}
+	}
+	if len(syms) == 0 {
+		return nil
+	}
+	return NewSymTable(syms)
 }
 
 // Location renders pc as "sym+0xoff" (or "0xpc" when unresolvable).
@@ -160,10 +103,10 @@ type HotBlock struct {
 	Dispatches uint64  `json:"dispatches"`
 }
 
-// Report symbolizes the top-n blocks against st (which may be nil).
-func (p *GuestProfiler) Report(st *SymTable, n int) []HotBlock {
+// Report symbolizes p's top-n blocks against st (which may be nil).
+func Report(p *instrument.Profile, st *SymTable, n int) []HotBlock {
 	total, _ := p.Totals()
-	top := p.Top(n)
+	top := Top(p, n)
 	out := make([]HotBlock, len(top))
 	for i, s := range top {
 		hb := HotBlock{
@@ -178,22 +121,23 @@ func (p *GuestProfiler) Report(st *SymTable, n int) []HotBlock {
 	return out
 }
 
-// WriteTable renders the top-n report as an aligned text table.
-func (p *GuestProfiler) WriteTable(w io.Writer, st *SymTable, n int) {
+// WriteTable renders p's top-n report as an aligned text table.
+func WriteTable(w io.Writer, p *instrument.Profile, st *SymTable, n int) {
 	fmt.Fprintf(w, "%4s  %-12s  %-28s  %12s  %6s  %12s  %10s\n",
 		"rank", "pc", "location", "cycles", "cyc%", "instret", "dispatches")
-	for _, hb := range p.Report(st, n) {
+	for _, hb := range Report(p, st, n) {
 		fmt.Fprintf(w, "%4d  %#-12x  %-28s  %12d  %5.1f%%  %12d  %10d\n",
 			hb.Rank, hb.PC, hb.Location, hb.Cycles, hb.CyclePct, hb.Instret, hb.Dispatches)
 	}
 }
 
-// FoldedStacks emits one flamegraph-folded line per block —
+// FoldedStacks emits one flamegraph-folded line per block of p —
 // "root;location cycles" — sorted by location for deterministic output.
 // Feed the result to any flamegraph renderer (e.g. flamegraph.pl).
-func (p *GuestProfiler) FoldedStacks(w io.Writer, root string, st *SymTable) {
-	lines := make([]string, 0, len(p.blocks))
-	for _, s := range p.blocks {
+func FoldedStacks(w io.Writer, root string, p *instrument.Profile, st *SymTable) {
+	samples := p.Samples()
+	lines := make([]string, 0, len(samples))
+	for _, s := range samples {
 		lines = append(lines, fmt.Sprintf("%s;%s %d", root, st.Location(s.PC), s.Cycles))
 	}
 	sort.Strings(lines)

@@ -3,16 +3,25 @@ package telemetry
 import (
 	"strings"
 	"testing"
+
+	"github.com/eurosys26p57/chimera/internal/instrument"
+	"github.com/eurosys26p57/chimera/internal/obj"
 )
 
+// sample records one dispatch of the block at pc the way the emulator does:
+// a slot assigned at translation, then an add per dispatch.
+func sample(p *instrument.Profile, pc, instret, cycles uint64) {
+	p.Add(p.Slot(pc), pc, instret, cycles)
+}
+
 func TestGuestProfilerTopAndTotals(t *testing.T) {
-	p := NewGuestProfiler()
+	p := instrument.NewProfile()
 	// Hot block at 0x100: 10 dispatches of 8 instructions, 2 cycles each.
 	for i := 0; i < 10; i++ {
-		p.Sample(0x100, 8, 16)
+		sample(p, 0x100, 8, 16)
 	}
-	p.Sample(0x200, 4, 4)
-	p.Sample(0x300, 2, 2)
+	sample(p, 0x200, 4, 4)
+	sample(p, 0x300, 2, 2)
 
 	if p.Blocks() != 3 {
 		t.Fatalf("blocks = %d, want 3", p.Blocks())
@@ -21,7 +30,7 @@ func TestGuestProfilerTopAndTotals(t *testing.T) {
 	if cycles != 166 || instret != 86 {
 		t.Errorf("totals = (%d, %d), want (166, 86)", cycles, instret)
 	}
-	top := p.Top(2)
+	top := Top(p, 2)
 	if len(top) != 2 || top[0].PC != 0x100 || top[1].PC != 0x200 {
 		t.Fatalf("top = %+v", top)
 	}
@@ -29,20 +38,20 @@ func TestGuestProfilerTopAndTotals(t *testing.T) {
 		t.Errorf("hot block = %+v", top[0])
 	}
 	// Ties break by pc ascending.
-	q := NewGuestProfiler()
-	q.Sample(0x20, 1, 5)
-	q.Sample(0x10, 1, 5)
-	if tt := q.Top(0); tt[0].PC != 0x10 || tt[1].PC != 0x20 {
+	q := instrument.NewProfile()
+	sample(q, 0x20, 1, 5)
+	sample(q, 0x10, 1, 5)
+	if tt := Top(q, 0); tt[0].PC != 0x10 || tt[1].PC != 0x20 {
 		t.Errorf("tie order = %+v", tt)
 	}
 }
 
 func TestGuestProfilerMerge(t *testing.T) {
-	a := NewGuestProfiler()
-	a.Sample(0x100, 2, 4)
-	b := NewGuestProfiler()
-	b.Sample(0x100, 3, 6)
-	b.Sample(0x200, 1, 1)
+	a := instrument.NewProfile()
+	sample(a, 0x100, 2, 4)
+	b := instrument.NewProfile()
+	sample(b, 0x100, 3, 6)
+	sample(b, 0x200, 1, 1)
 	a.Merge(b)
 	a.Merge(nil)
 	cycles, instret := a.Totals()
@@ -52,13 +61,13 @@ func TestGuestProfilerMerge(t *testing.T) {
 	if a.Blocks() != 2 {
 		t.Errorf("merged blocks = %d, want 2", a.Blocks())
 	}
-	if hot := a.Top(1)[0]; hot.PC != 0x100 || hot.Dispatches != 2 {
+	if hot := Top(a, 1)[0]; hot.PC != 0x100 || hot.Dispatches != 2 {
 		t.Errorf("merged hot = %+v", hot)
 	}
 }
 
 func TestSymTableResolve(t *testing.T) {
-	st := NewSymTable([]Sym{
+	st := NewSymTable([]obj.Symbol{
 		{Name: "main", Addr: 0x1000, Size: 0x100},
 		{Name: "helper", Addr: 0x2000}, // size 0: extends to next
 		{Name: "tail", Addr: 0x3000},   // size 0, last: unbounded
@@ -89,12 +98,12 @@ func TestSymTableResolve(t *testing.T) {
 }
 
 func TestReportAndFoldedStacks(t *testing.T) {
-	p := NewGuestProfiler()
-	p.Sample(0x1010, 8, 75)
-	p.Sample(0x1000, 2, 25)
-	st := NewSymTable([]Sym{{Name: "main", Addr: 0x1000}})
+	p := instrument.NewProfile()
+	sample(p, 0x1010, 8, 75)
+	sample(p, 0x1000, 2, 25)
+	st := NewSymTable([]obj.Symbol{{Name: "main", Addr: 0x1000}})
 
-	rep := p.Report(st, 10)
+	rep := Report(p, st, 10)
 	if len(rep) != 2 {
 		t.Fatalf("report = %+v", rep)
 	}
@@ -106,14 +115,14 @@ func TestReportAndFoldedStacks(t *testing.T) {
 	}
 
 	var tbl strings.Builder
-	p.WriteTable(&tbl, st, 10)
+	WriteTable(&tbl, p, st, 10)
 	out := tbl.String()
 	if !strings.Contains(out, "main+0x10") || !strings.Contains(out, "75.0%") {
 		t.Errorf("table output:\n%s", out)
 	}
 
 	var folded strings.Builder
-	p.FoldedStacks(&folded, "matmul", st)
+	FoldedStacks(&folded, "matmul", p, st)
 	want := "matmul;main 25\nmatmul;main+0x10 75\n"
 	if folded.String() != want {
 		t.Errorf("folded = %q, want %q", folded.String(), want)

@@ -1,14 +1,15 @@
-// Package telemetry is Chimera's dependency-free observability subsystem:
-// a metrics registry (atomic counters, gauges, and fixed-bucket histograms
-// with label support and a zero-allocation hot path) exposed in Prometheus
-// text format, a lightweight request tracer with ring-buffer retention
-// (trace.go), and a guest-level profiler for the emulator (profile.go).
+// Package telemetry is Chimera's observability subsystem: a metrics
+// registry (atomic counters, gauges, and fixed-bucket histograms with label
+// support and a zero-allocation hot path) exposed in Prometheus text
+// format, a lightweight request tracer with ring-buffer retention
+// (trace.go), and the symbolized reports of the emulator's guest profile
+// (profile.go).
 //
-// The package deliberately imports nothing from the repository, so every
-// layer — service, kernel, emulator, commands — can publish into it without
-// dependency cycles. All hot-path instruments (Counter, Gauge, Histogram)
-// are nil-safe: a nil instrument records nothing and costs one branch,
-// which is the "telemetry off" mode for optional call sites.
+// It imports only the leaf packages obj and instrument, so every layer can
+// publish into it without dependency cycles. All hot-path instruments
+// (Counter, Gauge, Histogram) are nil-safe: a nil instrument records nothing
+// and costs one branch, which is the "telemetry off" mode for optional call
+// sites.
 package telemetry
 
 import (

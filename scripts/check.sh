@@ -4,8 +4,9 @@
 # warm-loop alloc (emulator hot loops, fuzz exec cycle, havoc mutation),
 # cold-rewrite alloc and nil-hook instrumentation overhead gates, the
 # coverage-guided campaign smoke, and short native-fuzz smokes over the
-# differential oracles, the decoders of untrusted bytes, and the request
-# bodies of POST /fuzz, /rewrite, /rewrite/batch, /run and PUT /peer/store.
+# differential oracles, the decoders of untrusted bytes, the request
+# bodies of POST /fuzz, /rewrite, /rewrite/batch, /run and PUT /peer/store,
+# and the peer-protocol client against a hostile peer.
 # Run from anywhere; it anchors itself at the repo root.
 set -eu
 cd "$(dirname "$0")/.."
@@ -101,6 +102,7 @@ go test -run=- -fuzz=FuzzDecodeEntry -fuzztime=10s ./internal/store >/dev/null
 go test -run=- -fuzz=FuzzUnmarshalTables -fuzztime=10s ./internal/chbp >/dev/null
 go test -run=- -fuzz=FuzzDisassemble -fuzztime=10s ./internal/dis >/dev/null
 go test -run=- -fuzz=FuzzFuzzBody -fuzztime=10s ./internal/service >/dev/null
+go test -run=- -fuzz=FuzzRemotePeer -fuzztime=10s ./internal/cluster >/dev/null
 # The two body fuzzers below run a rewrite or a guest per exec; a 1 s
 # minimization budget keeps one new input from taking the whole 10 s.
 go test -run=- -fuzz=FuzzRewriteBody -fuzztime=10s -fuzzminimizetime=1s ./internal/service >/dev/null
